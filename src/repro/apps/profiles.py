@@ -114,7 +114,10 @@ class UserProfiler:
         profile = self.profile(user_id)
         onto = self._ontology
         inferred: dict[str, float] = defaultdict(float)
-        frontier = {nid: profile.weights[nid] for nid in profile.observed
+        # Sorted: float sums below follow frontier order, and set order
+        # differs between processes with different hash seeds.
+        frontier = {nid: profile.weights[nid]
+                    for nid in sorted(profile.observed)
                     if nid in profile.weights}
         for _hop in range(hops):
             next_frontier: dict[str, float] = defaultdict(float)

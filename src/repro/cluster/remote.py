@@ -44,23 +44,15 @@ not stream data.
 
 from __future__ import annotations
 
-import json
+import functools
 import multiprocessing
 import os
 import socket
 import time
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
-from ..core.ontology import AttentionOntology
 from ..core.serialize import store_to_delta
-from ..core.store import (
-    AttentionNode,
-    Edge,
-    EdgeType,
-    NodeType,
-    OntologyDelta,
-    OntologyStore,
-)
+from ..core.store import OntologyDelta, OntologyStore
 from ..errors import (
     DeltaGapError,
     OntologyError,
@@ -74,29 +66,13 @@ from ..obs.recorder import (
     configure_recorder,
     get_recorder,
 )
-from ..obs.tracing import (
-    TRACE_DIR_ENV,
-    TraceContext,
-    configure_tracer,
-    current_context,
-    get_tracer,
-)
+from ..obs.tracing import TRACE_DIR_ENV, configure_tracer, get_tracer
 from ..replication.follower import SyncLogClient
-from ..serving.rpc import (
-    BINARY_CODEC_VERSION,
-    _canonical_bytes,
-    decode,
-    encode,
-    encode_envelope,
-    loads_envelope,
-    negotiate_result,
-    read_frame_sync,
-    write_frame_sync,
-)
-from ..serving.service import OntologyService
+from ..serving.rpc import BlockingRpcClient, Dispatcher, serve_blocking
 from .ring import HashRing, TransferSlice, ring_delta, ring_op_of
 from .router import ShardRouter
-from .shards import ShardReplica, ShardedStoreView
+from .service import ShardedFront
+from .shards import ShardReplica
 
 #: Shard read-interface methods a worker dispatches by name.
 SHARD_READ_METHODS = frozenset({
@@ -104,6 +80,9 @@ SHARD_READ_METHODS = frozenset({
     "owned_token_ids", "owned_candidate_ids", "successor_ids",
     "predecessor_ids", "has_edge", "edges", "describe", "transfer_slice",
 })
+
+#: What a :class:`RemoteShardReplica` forwards by name.
+_PROXIED_METHODS = SHARD_READ_METHODS | {"seed", "sync", "obs_status"}
 
 _SYNC_WAIT_SECONDS = 2.0  # one long-poll slice while catching up
 _SYNC_MAX_SECONDS = 120.0  # give up if the log never reaches the target
@@ -228,14 +207,77 @@ def _catch_up(client: SyncLogClient, router: ShardRouter,
     return router, replica, recovered
 
 
+class _ShardWorker:
+    """One shard's state and the methods its worker process answers:
+    :data:`SHARD_READ_METHODS` straight off the replica, plus the
+    control methods below."""
+
+    def __init__(self, shard_id: int, client: SyncLogClient,
+                 router: "ShardRouter | None",
+                 replica: "ShardReplica | None") -> None:
+        self.shard_id = shard_id
+        self.client = client
+        # Both None in a rebalance-spawned worker until its seed arrives.
+        self.router = router
+        self.replica = replica
+        self.stopped = False
+
+    def methods(self) -> "dict[str, Any]":
+        return dict({name: functools.partial(self._read, name)
+                     for name in SHARD_READ_METHODS},
+                    seed=self.seed, sync=self.sync, stop=self.stop,
+                    ghost_count=self.ghost_count, obs_status=self.obs_status)
+
+    def _seeded(self) -> ShardReplica:
+        if self.replica is None:
+            raise ReproError(
+                f"shard {self.shard_id} is awaiting its rebalance seed")
+        return self.replica
+
+    def _read(self, method: str, *args, **kwargs) -> Any:
+        return getattr(self._seeded(), method)(*args, **kwargs)
+
+    def ghost_count(self) -> int:
+        return self._seeded().ghost_count
+
+    def seed(self, state: dict, transfers: "list[TransferSlice]") -> dict:
+        if self.router is not None:
+            raise ReproError(f"shard {self.shard_id} already holds state")
+        self.router = ShardRouter.from_state(state)
+        self.replica = ShardReplica(self.shard_id)
+        for transfer in transfers:
+            self.replica.adopt_slice(transfer)
+        self.router.sync_shard_version(self.shard_id,
+                                       self.replica.store.version)
+        self.client.register(self.router.version)
+        return dict(self.replica.describe(), epoch=self.router.epoch,
+                    stream_version=self.router.version)
+
+    def sync(self, target: int) -> dict:
+        self.router, self.replica, recovered = _catch_up(
+            self.client, self.router, self._seeded(), self.shard_id, target)
+        return dict(self.replica.describe(), recovered=recovered,
+                    epoch=self.router.epoch)
+
+    def obs_status(self) -> dict:
+        return {"metrics": get_registry().snapshot(),
+                "tracer": get_tracer().describe(),
+                "recorder": get_recorder().describe()}
+
+    def stop(self) -> bool:
+        self.stopped = True
+        return True
+
+
 def _shard_worker_main(shard_id: int, num_shards: int,
                        publisher_host: str, publisher_port: int,
                        ready, accept_timeout: float,
                        seed: bool = False,
                        trace_dir: "str | None" = None,
                        recorder_dir: "str | None" = None) -> None:
-    """One shard behind a socket: bootstrap from the log (or await a
-    parent seed), serve reads."""
+    """One shard behind a socket: bootstrap from the log (or, for a
+    rebalance-spawned worker, await the parent's seed of routing state
+    plus TransferSlice frames), then serve the parent's one connection."""
     # The worker's span log: explicit argument first, inherited
     # environment second (spawn passes the parent's env through), so
     # ``cli serve --trace-dir`` traces the whole process tree while an
@@ -246,18 +288,11 @@ def _shard_worker_main(shard_id: int, num_shards: int,
     configure_recorder(
         recorder_dir or os.environ.get(RECORDER_DIR_ENV) or None,
         process=f"shard-{shard_id}")
-    metrics = get_registry().scope("shard_worker")
-    requests_served = metrics.counter("requests")
     try:
         client = SyncLogClient.connect(publisher_host, publisher_port,
                                        follower_id=f"shard-{shard_id}")
-        if seed:
-            # A rebalance-spawned worker: the parent streams it the
-            # routing state and its TransferSlice frames instead of a
-            # full snapshot fold.
-            router: "ShardRouter | None" = None
-            replica: "ShardReplica | None" = None
-        else:
+        router = replica = None
+        if not seed:
             router, replica = _bootstrap_shard(client, num_shards, shard_id)
             client.register(router.version)
         server = socket.create_server(("127.0.0.1", 0))
@@ -266,96 +301,13 @@ def _shard_worker_main(shard_id: int, num_shards: int,
     except Exception as exc:
         ready.put(("error", shard_id, f"bootstrap failed: {exc!r}"))
         return
-    try:
-        conn, _addr = server.accept()
-    except (OSError, TimeoutError):
-        return  # the parent never connected; nothing to serve
-    # Per-connection response encoding: a ``negotiate`` request flips
-    # responses to the packed binary codec (requests stay JSON — they
-    # are small; the shard-read responses carry the bulk).
-    wire_state = {"binary": False}
-    with conn:
-        while True:
-            try:
-                frame = read_frame_sync(conn)
-            except (ConnectionError, OSError, ReproError):
-                break  # parent vanished mid-frame
-            if frame is None:
-                break
-            stop = False
-            request_id = None
-            error = None
-            result: Any = None
-            try:
-                request = json.loads(frame.decode("utf-8"))
-                request_id = request.get("id")
-                method = request.get("method")
-                args = decode(request.get("args", []))
-                kwargs = decode(request.get("kwargs", {}))
-                # The parent's trace context rides the request envelope
-                # (same optional key as the RPC tier): the shard span
-                # below becomes a child of the scatter span that
-                # dispatched this read, across the process boundary.
-                ctx = TraceContext.from_wire(request.get("trace"))
-                requests_served.inc()
-                with get_tracer().span(f"shard.{method}", parent=ctx,
-                                       shard=shard_id):
-                    with metrics.time("request_seconds"):
-                        if method == "stop":
-                            stop = True
-                            result = True
-                        elif method == "negotiate":
-                            result = negotiate_result(wire_state,
-                                                      kwargs.get("codec"))
-                        elif method == "obs_status":
-                            result = {
-                                "metrics": get_registry().snapshot(),
-                                "tracer": get_tracer().describe(),
-                                "recorder": get_recorder().describe(),
-                            }
-                        elif method == "seed":
-                            if router is not None:
-                                raise ReproError(
-                                    f"shard {shard_id} already holds state")
-                            state, transfers = args
-                            router = ShardRouter.from_state(state)
-                            replica = ShardReplica(shard_id)
-                            for transfer in transfers:
-                                replica.adopt_slice(transfer)
-                            router.sync_shard_version(shard_id,
-                                                      replica.store.version)
-                            client.register(router.version)
-                            result = dict(replica.describe(),
-                                          epoch=router.epoch,
-                                          stream_version=router.version)
-                        elif router is None or replica is None:
-                            raise ReproError(
-                                f"shard {shard_id} is awaiting its "
-                                "rebalance seed")
-                        elif method == "sync":
-                            router, replica, recovered = _catch_up(
-                                client, router, replica, shard_id,
-                                *args, **kwargs)
-                            result = dict(replica.describe(),
-                                          recovered=recovered,
-                                          epoch=router.epoch)
-                        elif method == "ghost_count":
-                            result = replica.ghost_count
-                        elif method in SHARD_READ_METHODS:
-                            result = getattr(replica, method)(*args,
-                                                              **kwargs)
-                        else:
-                            raise ReproError(
-                                f"unknown shard method {method!r}")
-            except Exception as exc:
-                error = {"type": type(exc).__name__, "message": str(exc)}
-            try:
-                write_frame_sync(conn, encode_envelope(
-                    request_id, result, error, wire_state["binary"]))
-            except (ConnectionError, OSError):
-                break
-            if stop:
-                break
+    worker = _ShardWorker(shard_id, client, router, replica)
+    serve_blocking(
+        server,
+        Dispatcher("shard", worker.methods(),
+                   get_registry().scope("shard_worker"), span="shard",
+                   timer="request_seconds", shard=shard_id),
+        lambda: worker.stopped)
     client.close()
     server.close()
     get_tracer().close()
@@ -375,55 +327,20 @@ class RemoteShardReplica:
 
     def __init__(self, shard_id: int, host: str, port: int,
                  timeout: float = 120.0, wire: str = "json") -> None:
-        if wire not in ("json", "binary"):
-            raise ReproError(f"unknown wire encoding {wire!r}")
         self.shard_id = shard_id
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._next_id = 0
-        # Replies already read while waiting for an earlier pipelined
-        # request (the worker answers its one socket strictly in order,
-        # but finish_call may be invoked out of dispatch order).
-        self._responses: "dict[Any, dict]" = {}
-        self.wire = "json"
-        if wire == "binary":
-            self._negotiate()
+        self._rpc = BlockingRpcClient(host, port, timeout, wire,
+                                      unavailable=self._unavailable)
+        # The scatter paths in ShardedStoreView dispatch to every shard
+        # first (begin_call) and collect second (finish_call),
+        # overlapping the per-shard work instead of serializing one
+        # blocking round trip per shard.
+        self.begin_call = self._rpc.begin_call
+        self.finish_call = self._rpc.finish_call
 
-    def _negotiate(self) -> None:
-        """Request packed-binary responses; an old worker answers with
-        an unknown-method *error*, so the proxy silently degrades to
-        JSON instead of hanging on version skew."""
-        try:
-            reply = self._call("negotiate", codec=BINARY_CODEC_VERSION)
-        except (ReproError, OSError):
-            self.wire = "json"
-            return
-        self.wire = "binary" if isinstance(reply, dict) \
-            and reply.get("wire") == "binary" else "json"
-
-    # ------------------------------------------------------------------
-    # pipelined request/response plumbing
-    # ------------------------------------------------------------------
-    def begin_call(self, method: str, *args, **kwargs) -> int:
-        """Dispatch one request without waiting for its reply; pair with
-        :meth:`finish_call`.  The scatter paths in
-        :class:`~repro.cluster.shards.ShardedStoreView` dispatch to every
-        shard first and collect second, overlapping the per-shard work
-        instead of serializing one blocking round trip per shard."""
-        request_id = self._next_id
-        self._next_id += 1
-        envelope = {"id": request_id, "method": method,
-                    "args": encode(list(args)), "kwargs": encode(kwargs)}
-        ctx = current_context()
-        if ctx is not None:
-            # Carry the caller's trace (usually the scatter span) across
-            # the process boundary; an untraced request omits the key
-            # and a pre-trace worker ignores it.
-            envelope["trace"] = ctx.to_wire()
-        try:
-            write_frame_sync(self._sock, _canonical_bytes(envelope))
-        except (ConnectionError, OSError) as exc:
-            raise self._unavailable(repr(exc)) from exc
-        return request_id
+    @property
+    def wire(self) -> str:
+        """The reply encoding negotiated with the worker."""
+        return self._rpc.wire
 
     def _unavailable(self, detail: str) -> ShardUnavailableError:
         """A connection-level failure, typed: the worker process died or
@@ -434,129 +351,52 @@ class RemoteShardReplica:
             self.shard_id,
             f"shard {self.shard_id} worker unavailable: {detail}")
 
-    def finish_call(self, request_id: int) -> Any:
-        """Collect the reply of a :meth:`begin_call`; raises the typed
-        error a blocking call would."""
-        while request_id not in self._responses:
-            try:
-                frame = read_frame_sync(self._sock)
-            except (ConnectionError, OSError) as exc:
-                raise self._unavailable(repr(exc)) from exc
-            if frame is None:
-                raise self._unavailable("worker closed the connection")
-            body = loads_envelope(frame)
-            self._responses[body.get("id")] = body
-        body = self._responses.pop(request_id)
-        error = body.get("error")
-        if error is not None:
-            kind = error.get("type")
-            message = f"shard {self.shard_id}: {error.get('message')}"
-            if kind == "RingEpochError":
-                raise RingEpochError(message)
-            if kind == "DeltaGapError":
-                raise DeltaGapError(message)
-            if kind == "OntologyError":
-                raise OntologyError(message)
-            raise ReproError(f"{kind}: {message}")
-        return body["result"]
-
-    def _call(self, method: str, *args, **kwargs) -> Any:
-        return self.finish_call(self.begin_call(method, *args, **kwargs))
-
-    # ------------------------------------------------------------------
-    # the shard read interface (see ShardReplica)
-    # ------------------------------------------------------------------
-    def node(self, node_id: str) -> AttentionNode:
-        return self._call("node", node_id)
-
-    def find(self, node_type: NodeType,
-             phrase: str) -> "AttentionNode | None":
-        return self._call("find", node_type, phrase)
-
-    def owns(self, node_id: str) -> bool:
-        return self._call("owns", node_id)
-
-    def owned_ids(self, node_type: "NodeType | None" = None) -> set:
-        return self._call("owned_ids", node_type)
-
-    def owned_count(self, node_type: "NodeType | None" = None) -> int:
-        return self._call("owned_count", node_type)
-
-    def alias_claim(self, key: str,
-                    node_id: "str | None" = None) -> "int | None":
-        return self._call("alias_claim", key, node_id)
-
-    def owned_token_ids(self, token: str, node_type: NodeType) -> list:
-        return self._call("owned_token_ids", token, node_type)
-
-    def owned_candidate_ids(self, tokens, node_type: NodeType) -> list:
-        return self._call("owned_candidate_ids", list(tokens), node_type)
-
-    def successor_ids(self, node_id: str,
-                      edge_type: "EdgeType | None" = None) -> list:
-        return self._call("successor_ids", node_id, edge_type)
-
-    def predecessor_ids(self, node_id: str,
-                        edge_type: "EdgeType | None" = None) -> list:
-        return self._call("predecessor_ids", node_id, edge_type)
-
-    def has_edge(self, source_id: str, target_id: str,
-                 edge_type: EdgeType) -> bool:
-        return self._call("has_edge", source_id, target_id, edge_type)
-
-    def edges(self, edge_type: "EdgeType | None" = None) -> "list[Edge]":
-        return self._call("edges", edge_type)
-
-    def obs_status(self) -> dict:
-        """The worker process's registry snapshot + tracer state."""
-        return self._call("obs_status")
-
-    def describe(self) -> dict:
-        return self._call("describe")
+    def __getattr__(self, name: str):
+        """The shard read interface (see :class:`ShardReplica`) and the
+        control calls: each is the worker method of the same name, one
+        round trip.  ``sync(version)`` tells the worker the log holds
+        ``version`` and returns its ``describe()`` line plus
+        ``recovered`` and ``epoch``; ``seed(state, transfers)`` hands a
+        freshly spawned worker its routing state and slices."""
+        if name in _PROXIED_METHODS:
+            return functools.partial(self._rpc.call, name)
+        raise AttributeError(name)
 
     @property
     def ghost_count(self) -> int:
-        return self._call("ghost_count")
-
-    # ------------------------------------------------------------------
-    # rebalance transfer frames
-    # ------------------------------------------------------------------
-    def transfer_slice(self, node_ids, epoch: int,
-                       shard: int) -> TransferSlice:
-        """Pull the slice a rebalance moves from this worker to
-        ``shard`` (read-only on the worker)."""
-        return self._call("transfer_slice", list(node_ids), epoch, shard)
-
-    def seed(self, state: dict, transfers: "list[TransferSlice]") -> dict:
-        """Hand a freshly spawned worker its routing state and slices
-        (only valid once, before the worker holds any state)."""
-        return self._call("seed", state, transfers)
-
-    # ------------------------------------------------------------------
-    def sync(self, version: int) -> dict:
-        """Tell the worker the log holds ``version``; it catches up from
-        the shared log (re-bootstrapping through a GC gap or a ring flip
-        it cannot absorb) and returns its ``describe()`` line plus
-        ``recovered`` and ``epoch``."""
-        return self._call("sync", version)
+        return self._rpc.call("ghost_count")
 
     def stop(self) -> None:
         try:
-            self._call("stop")
+            self._rpc.call("stop")
         except (ReproError, OSError):
             pass
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._rpc.close()
 
 
 # ----------------------------------------------------------------------
 # the remote cluster
 # ----------------------------------------------------------------------
-class RemoteClusterService:
+def _terminate(process) -> None:
+    """``terminate``, escalating to ``kill`` if the process lingers."""
+    process.terminate()
+    process.join(timeout=10.0)
+    if process.is_alive():
+        process.kill()
+        process.join(timeout=10.0)
+
+
+def _join(process) -> None:
+    """Wait for a stopped worker to exit; ``terminate`` a lingerer."""
+    process.join(timeout=10.0)
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout=5.0)
+
+
+class RemoteClusterService(ShardedFront):
     """A :class:`ClusterService` whose shards run in worker processes.
 
     Args:
@@ -602,13 +442,10 @@ class RemoteClusterService:
                  registry: "MetricsRegistry | None" = None) -> None:
         if num_shards <= 0:
             raise OntologyError("a cluster needs at least one shard")
-        if wire not in ("json", "binary"):
-            raise OntologyError(f"unknown wire encoding {wire!r}")
         self._wire = wire
         self._trace_dir = trace_dir
         self._recorder_dir = recorder_dir
         registry = registry if registry is not None else get_registry()
-        self._registry = registry
         self._metrics = registry.scope("cluster")
         self._rebalances = self._metrics.counter("rebalances")
         self._moved_nodes = self._metrics.counter("rebalance_moved_nodes")
@@ -631,7 +468,6 @@ class RemoteClusterService:
         self._replicas: "list[RemoteShardReplica]" = []
         self._client: "SyncLogClient | None" = None
         self._closed = False
-        self.last_rebalance: "dict | None" = None
         # In-progress chunked resize (begin_rebalance .. finish_rebalance):
         # the staged router/plan/chunk queue; None outside a resize.
         self._staged: "dict | None" = None
@@ -654,19 +490,14 @@ class RemoteClusterService:
         except Exception:
             self.close()
             raise
-        self._view = ShardedStoreView(self._router, self._replicas,
-                                      registry=registry)
+        super().__init__(
+            self._router, self._replicas, registry, ner=ner, duet=duet,
+            tagger_options=tagger_options, max_rewrites=max_rewrites,
+            max_recommendations=max_recommendations, cache_size=cache_size)
         # Reads that hit a dead worker's proxy raise a typed
         # ShardUnavailableError; the view calls back here to respawn the
         # worker, then retries the read (see _recover_shard).
         self._view.bind_recovery(self._recover_shard)
-        self._service = OntologyService(
-            AttentionOntology(store=self._view), ner=ner, duet=duet,
-            tagger_options=tagger_options, max_rewrites=max_rewrites,
-            max_recommendations=max_recommendations, cache_size=cache_size,
-            registry=registry,
-        )
-        self._deltas_applied = 0
 
     # ------------------------------------------------------------------
     # worker lifecycle
@@ -683,6 +514,14 @@ class RemoteClusterService:
         process.start()
         self._processes[shard_id] = process
         self._ready_queues[shard_id] = queue
+
+    def _connect(self, shard_id: int,
+                 seed: bool = False) -> RemoteShardReplica:
+        """Spawn one worker, wait for its port, connect its proxy."""
+        self._spawn(shard_id, seed)
+        port = self._await_ready({shard_id})[shard_id]
+        return RemoteShardReplica(shard_id, "127.0.0.1", port,
+                                  wire=self._wire)
 
     def _await_ready(self, expected: "set[int]") -> "dict[int, int]":
         """Collect (shard_id -> port) ready messages for ``expected``."""
@@ -721,10 +560,7 @@ class RemoteClusterService:
             proxy.close()
         process = self._processes.pop(shard_id, None)
         if process is not None:
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
+            _join(process)
         # A gracefully stopped worker deregisters itself; a crashed one
         # cannot, and a retired shard is never respawned to overwrite
         # its registration — so its stale position would pin the log's
@@ -744,11 +580,7 @@ class RemoteClusterService:
         process = self._processes.pop(shard_id, None)
         if process is None:
             return
-        process.terminate()
-        process.join(timeout=10.0)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=10.0)
+        _terminate(process)
         if process.is_alive() or process.exitcode is None:
             self._processes[shard_id] = process  # keep it visible
             raise ReproError(
@@ -764,11 +596,8 @@ class RemoteClusterService:
         respawn that fails to come up raises without having touched the
         caller's proxy table, so the old proxy keeps its retry path."""
         self._reap(shard_id)
-        self._spawn(shard_id)
         try:
-            ports = self._await_ready({shard_id})
-            proxy = RemoteShardReplica(shard_id, "127.0.0.1",
-                                       ports[shard_id], wire=self._wire)
+            proxy = self._connect(shard_id)
             proxy.sync(self._router.version)
         except Exception:
             # The failed respawn's process must not linger either.
@@ -791,9 +620,7 @@ class RemoteClusterService:
         The swap is all-or-nothing: the replacement worker is spawned,
         readied and synced *before* the old proxy is replaced and
         closed.  A failed respawn raises with the old proxy still seated
-        (and still open), so the caller can retry — the old code closed
-        first and left ``_replicas[shard_id]`` holding a dead socket
-        with no recovery path."""
+        (and still open), so the caller can retry."""
         if not 0 <= shard_id < len(self._replicas):
             raise OntologyError(f"no shard {shard_id} in this cluster")
         proxy = self._restart(shard_id)
@@ -811,41 +638,11 @@ class RemoteClusterService:
         or rebalance finding the corpse)."""
         process = self._processes.get(shard_id)
         if process is not None:
-            process.terminate()
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=10.0)
+            _terminate(process)
 
     # ------------------------------------------------------------------
     # cluster state
     # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return self._router.num_shards
-
-    @property
-    def version(self) -> int:
-        """Global delta-stream version the cluster serves."""
-        return self._router.version
-
-    @property
-    def ontology(self) -> AttentionOntology:
-        return self._service.ontology
-
-    @property
-    def views(self):
-        """The parent serving facade's maintained-view catalog."""
-        return self._service.views
-
-    @property
-    def replicas(self) -> "list[RemoteShardReplica]":
-        return list(self._replicas)
-
-    @property
-    def router(self) -> ShardRouter:
-        return self._router
-
     @property
     def rebalance_staged(self) -> bool:
         """True while a chunked rebalance is staged but not flipped."""
@@ -936,48 +733,54 @@ class RemoteClusterService:
     # rebalancing (ring epochs)
     # ------------------------------------------------------------------
     def rebalance(self, num_shards: int, publish=None,
-                  vnodes: "int | None" = None,
-                  chunk_nodes: "int | None" = None,
-                  between_chunks=None) -> "OntologyDelta | None":
+                  vnodes: "int | None" = None) -> "OntologyDelta | None":
         """Resize the worker fleet to ``num_shards`` via a ring-epoch
-        flip recorded in the shared log.
+        flip recorded in the shared log (see the module docstring), in
+        one call: the staged protocol below with one unbounded chunk
+        per (source, destination) pair.
 
         ``publish`` bridges the record to the log's writer (e.g.
         :meth:`~repro.replication.publisher.PublisherThread.publish`) —
-        data still flows to workers only through the log.  Growth spawns
-        the new shards' workers and *seeds* them over RPC with the
-        parent's routing state plus the
-        :class:`~repro.cluster.ring.TransferSlice` frames pulled from
-        the current owners, streaming only the moved node records;
-        surviving workers cross the flip as they consume the log record
-        (pure-growth flips demote locally; shrink survivors that gain
-        keys re-bootstrap from snapshot + tail).  A worker that died
-        mid-rebalance is respawned through the same snapshot-plus-tail
-        path, so re-invoking ``rebalance`` after a partial failure
-        completes the outstanding reconciliation.  Returns the ring
-        record (``None`` when the fleet was already at ``num_shards``
-        and only reconciliation ran).
-
-        With ``chunk_nodes`` set the resize runs *chunked* — the
-        :meth:`begin_rebalance` / :meth:`rebalance_step` /
-        :meth:`finish_rebalance` protocol with at most ``chunk_nodes``
-        node records per :class:`~repro.cluster.ring.TransferSlice`,
-        calling ``between_chunks()`` (when given) between steps; reads
-        keep serving the old placement the whole time.
+        data still flows to workers only through the log.  A worker
+        that died mid-rebalance is respawned through snapshot + tail,
+        so re-invoking ``rebalance`` after a partial failure completes
+        the outstanding reconciliation.  Returns the ring record
+        (``None`` when the fleet was already at ``num_shards`` and only
+        reconciliation ran).
         """
-        if chunk_nodes is not None:
-            pending = self.begin_rebalance(num_shards, publish=publish,
-                                           vnodes=vnodes,
-                                           chunk_nodes=chunk_nodes)
-            if self._staged is None:
-                return None  # already at size; reconciliation ran
-            while pending:
-                pending = self.rebalance_step()
-                if pending and between_chunks is not None:
-                    between_chunks()
-            return self.finish_rebalance()
+        pending = self.begin_rebalance(num_shards, publish=publish,
+                                       vnodes=vnodes, chunk_nodes=None)
+        if self._staged is None:
+            return None  # already at size; reconciliation ran
+        while pending:
+            pending = self.rebalance_step()
+        return self.finish_rebalance()
+
+    # ------------------------------------------------------------------
+    # staged rebalancing: serving interleaves between chunks
+    # ------------------------------------------------------------------
+    def begin_rebalance(self, num_shards: int, publish=None,
+                        vnodes: "int | None" = None,
+                        chunk_nodes: "int | None" = 256) -> int:
+        """Stage a resize: publish the ring record, compute the move
+        plan on a *staged copy* of the router, and queue the transfer
+        work as chunks of at most ``chunk_nodes`` node records each
+        (``None``: one chunk per (source, destination) pair).  Returns
+        the number of chunks queued.
+
+        The live router and read view are **not** flipped — reads keep
+        serving the old placement (stale relative to the pending ring
+        record but internally consistent, which is exactly what the
+        stamped-read auditor checks) while :meth:`rebalance_step` calls
+        interleave with them on the serialized serving queue.
+        ``sync``/``refresh`` are refused while staged: the ring record
+        already sits in the log, and consuming it mid-stage would flip
+        survivors under the old view.
+        """
         if num_shards <= 0:
             raise OntologyError("a cluster needs at least one shard")
+        if chunk_nodes is not None and chunk_nodes <= 0:
+            raise OntologyError("chunk_nodes must be positive")
         if self._staged is not None:
             raise OntologyError(
                 "a staged rebalance is already in progress; drive it to "
@@ -986,63 +789,12 @@ class RemoteClusterService:
         # extracted: a lagging source would seed a new shard with stale
         # node state that nothing ever repairs.  A dead worker found
         # here is revived through snapshot + tail first.
-        recovered = self._sync_fleet()
-        delta = None
-        plan = None
-        if self._router.num_shards != num_shards or \
-                (vnodes is not None and vnodes != self._router.vnodes):
-            ring = HashRing(
-                num_shards,
-                self._router.vnodes if vnodes is None else vnodes,
-                self._router.epoch + 1)
-            delta = ring_delta(self._router.version, ring)
-            if publish is None:
-                raise OntologyError(
-                    "remote shards are fed from the shared log; pass "
-                    "publish= (e.g. PublisherThread.publish) so the "
-                    "ring-epoch record reaches it")
-            publish([delta])
-            plan = self._router.apply_ring(delta)
-            self._service.fold_views(delta)
-        self._reconcile(plan, recovered)
-        if delta is not None:
-            self._deltas_applied += 1
-        return delta
-
-    # ------------------------------------------------------------------
-    # chunked (staged) rebalancing: serving interleaves between chunks
-    # ------------------------------------------------------------------
-    def begin_rebalance(self, num_shards: int, publish=None,
-                        vnodes: "int | None" = None,
-                        chunk_nodes: int = 256) -> int:
-        """Stage a chunked resize: publish the ring record, compute the
-        move plan on a *staged copy* of the router, and queue the
-        transfer work as bounded chunks of at most ``chunk_nodes`` node
-        records each.  Returns the number of chunks queued.
-
-        The live router and read view are **not** flipped — reads keep
-        serving the old placement (stale relative to the pending ring
-        record but internally consistent, which is exactly what the
-        stamped-read auditor checks) while :meth:`rebalance_step` calls
-        interleave with them on the serialized serving queue.  The old
-        monolithic path extracted every shard's entire slice in one call
-        between two reads; a big resize stalled serving for the whole
-        transfer.  ``sync``/``refresh`` are refused while staged: the
-        ring record already sits in the log, and consuming it mid-stage
-        would flip survivors under the old view.
-        """
-        if num_shards <= 0:
-            raise OntologyError("a cluster needs at least one shard")
-        if chunk_nodes <= 0:
-            raise OntologyError("chunk_nodes must be positive")
-        if self._staged is not None:
-            raise OntologyError(
-                "a staged rebalance is already in progress; drive it to "
-                "finish_rebalance() first")
-        recovered = self._sync_fleet()
+        self._advance_parent()
+        recovered: "list[int]" = []
+        self._sync_workers(recovered)
         if self._router.num_shards == num_shards and \
                 (vnodes is None or vnodes == self._router.vnodes):
-            self._reconcile(None, recovered)
+            self._reconcile(None, recovered, {})
             return 0
         if publish is None:
             raise OntologyError(
@@ -1064,12 +816,11 @@ class RemoteClusterService:
         for (src, dst), node_ids in plan.by_pair():
             if dst < len(self._replicas):
                 # Moves into survivors (shrink) are not sliced — those
-                # workers re-bootstrap from snapshot + tail at the flip,
-                # same as the monolithic path.
+                # workers re-bootstrap from snapshot + tail at the flip.
                 continue
-            for start in range(0, len(node_ids), chunk_nodes):
-                chunks.append((src, dst,
-                               list(node_ids[start:start + chunk_nodes])))
+            step = chunk_nodes or max(len(node_ids), 1)
+            for start in range(0, len(node_ids), step):
+                chunks.append((src, dst, list(node_ids[start:start + step])))
         self._staged = {
             "delta": delta,
             "plan": plan,
@@ -1088,8 +839,7 @@ class RemoteClusterService:
         each step holds the serialized queue only for its own chunk.  A
         source that fails mid-stream drops its destination to the
         snapshot-plus-tail bootstrap path (remaining chunks for that
-        destination are discarded), exactly like the monolithic
-        collector."""
+        destination are discarded)."""
         staged = self._staged
         if staged is None:
             raise OntologyError(
@@ -1125,18 +875,15 @@ class RemoteClusterService:
         delta = staged["delta"]
         plan = self._router.apply_ring(delta)
         self._service.fold_views(delta)
-        self._reconcile(plan, staged["recovered"],
-                        transfers=staged["transfers"])
+        self._reconcile(plan, staged["recovered"], staged["transfers"])
         self.last_rebalance["transfer_chunks"] = staged["chunk_count"]
         self._deltas_applied += 1
         return delta
 
-    def _sync_fleet(self) -> "list[int]":
-        """Bring the parent and every worker to the current log head,
-        respawning dead workers (snapshot-plus-tail); returns the shard
-        ids that had to be revived."""
-        self._advance_parent()
-        recovered = []
+    def _sync_workers(self, recovered: "list[int]") -> None:
+        """Bring every worker to the parent's log position, respawning
+        dead ones through snapshot + tail (their ids join
+        ``recovered``)."""
         for index, replica in enumerate(self._replicas):
             try:
                 replica.sync(self._router.version)
@@ -1146,21 +893,20 @@ class RemoteClusterService:
                 # proxy seated for the next attempt.
                 self._replicas[index] = self._restart(replica.shard_id)
                 replica.close()
-                recovered.append(replica.shard_id)
-        return recovered
+                if replica.shard_id not in recovered:
+                    recovered.append(replica.shard_id)
 
-    def _reconcile(self, plan, recovered: "list[int] | None" = None,
-                   transfers: "dict | None" = None) -> None:
-        """Drive the fleet to the parent router's ring: collect transfer
-        slices, retire shards that left the ring, cross survivors over
-        the flip (restarting corpses), seed or bootstrap new shards, and
-        flip the read view.  A staged rebalance passes its
-        chunk-collected ``transfers`` in; the monolithic path collects
-        them here in one sweep."""
+    def _reconcile(self, plan, recovered: "list[int]",
+                   transfers: "dict[int, list[TransferSlice] | None]"
+                   ) -> None:
+        """Drive the fleet to the parent router's ring: retire shards
+        that left the ring, cross survivors over the flip (restarting
+        corpses), seed new shards from their collected ``transfers`` —
+        or bootstrap them from snapshot + tail where a source failed
+        (``None``) or nothing was collected (a reconciliation-only call,
+        ``plan is None``) — and flip the read view."""
         target = self._router.num_shards
         new_ids = list(range(len(self._replicas), target))
-        if transfers is None:
-            transfers = self._collect_transfers(plan, new_ids)
         # Shards beyond the ring retire (their keys were sliced away or,
         # if the slices failed, will come from re-bootstrap folds).
         for proxy in self._replicas[target:]:
@@ -1172,15 +918,8 @@ class RemoteClusterService:
             for transfer in slices)
         # Survivors cross the flip from the log; a dead worker is
         # respawned through snapshot + tail, landing in the new epoch.
-        recovered = list(recovered or [])
-        for index, replica in enumerate(self._replicas):
-            try:
-                replica.sync(self._router.version)
-            except (ReproError, OSError):
-                self._replicas[index] = self._restart(replica.shard_id)
-                replica.close()
-                if replica.shard_id not in recovered:
-                    recovered.append(replica.shard_id)
+        recovered = list(recovered)
+        self._sync_workers(recovered)
         for shard_id in new_ids:
             self._replicas.append(
                 self._seed_or_bootstrap(shard_id, transfers.get(shard_id)))
@@ -1197,32 +936,6 @@ class RemoteClusterService:
             "recovered_shards": recovered,
         }
 
-    def _collect_transfers(self, plan, new_ids
-                           ) -> "dict[int, list[TransferSlice] | None]":
-        """Pull each new shard's slices from the current owners; a dest
-        whose source is unreachable maps to ``None`` (it bootstraps from
-        snapshot + tail instead)."""
-        transfers: "dict[int, list[TransferSlice] | None]" = {}
-        if plan is None:
-            return {shard_id: None for shard_id in new_ids}
-        pairs = plan.by_pair()
-        for dest in new_ids:
-            slices: "list[TransferSlice] | None" = []
-            for (src, dst), node_ids in pairs:
-                if dst != dest:
-                    continue
-                if src >= len(self._replicas):
-                    slices = None  # source shard is itself new/gone
-                    break
-                try:
-                    slices.append(self._replicas[src].transfer_slice(
-                        node_ids, plan.ring.epoch, dst))
-                except (ReproError, OSError):
-                    slices = None  # source crashed mid-rebalance
-                    break
-            transfers[dest] = slices
-        return transfers
-
     def _seed_or_bootstrap(self, shard_id: int,
                            slices: "list[TransferSlice] | None"
                            ) -> RemoteShardReplica:
@@ -1236,76 +949,20 @@ class RemoteClusterService:
                     [ghost.node_id for ghost in transfer.ghosts])
             proxy = None
             try:
-                self._spawn(shard_id, seed=True)
-                ports = self._await_ready({shard_id})
-                proxy = RemoteShardReplica(shard_id, "127.0.0.1",
-                                           ports[shard_id],
-                                           wire=self._wire)
+                proxy = self._connect(shard_id, seed=True)
                 seeded = proxy.seed(self._router.export_state(), slices)
                 self._router.sync_shard_version(shard_id,
                                                 seeded["version"])
                 return proxy
             except (ReproError, OSError):
                 self._stop_worker(shard_id, proxy)
-        self._spawn(shard_id)
-        ports = self._await_ready({shard_id})
-        proxy = RemoteShardReplica(shard_id, "127.0.0.1", ports[shard_id],
-                                   wire=self._wire)
+        proxy = self._connect(shard_id)
         proxy.sync(self._router.version)
         return proxy
 
     # ------------------------------------------------------------------
-    # serving APIs (delegated to the inner service over the remote view)
-    # ------------------------------------------------------------------
-    def tag_documents(self, documents: Sequence):
-        """Tag a batch via cross-process scatter-gather candidate reads."""
-        return self._service.tag_documents(documents)
-
-    def interpret_queries(self, queries: "Sequence[str]"):
-        return self._service.interpret_queries(queries)
-
-    def neighborhood(self, node_id: str, depth: int = 1,
-                     edge_type: "EdgeType | None" = None) -> tuple:
-        return self._service.neighborhood(node_id, depth=depth,
-                                          edge_type=edge_type)
-
-    def concepts_of_entity(self, entity_phrase: str) -> tuple:
-        return self._service.concepts_of_entity(entity_phrase)
-
-    def record_read(self, user_id: str, tags: "list[str]",
-                    weight: float = 1.0):
-        return self._service.record_read(user_id, tags, weight=weight)
-
-    def user_interests(self, user_id: str, k: int = 10, node_type=None):
-        return self._service.user_interests(user_id, k=k,
-                                            node_type=node_type)
-
-    def recommend_for_user(self, user_id: str, k: int = 5):
-        return self._service.recommend_for_user(user_id, k=k)
-
-    def track_events(self, events) -> int:
-        return self._service.track_events(events)
-
-    def follow_ups(self, read_phrase: str, limit: int = 3):
-        return self._service.follow_ups(read_phrase, limit=limit)
-
-    # ------------------------------------------------------------------
     # introspection / lifecycle
     # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Inner serving stats plus per-worker shard lines."""
-        stats = self._service.stats()
-        stats["num_shards"] = self.num_shards
-        stats["wire"] = self._wire
-        stats["cluster_deltas_applied"] = self._deltas_applied
-        stats["ring"] = {"epoch": self._router.epoch,
-                         "num_shards": self._router.num_shards,
-                         "vnodes": self._router.vnodes}
-        if self.last_rebalance is not None:
-            stats["last_rebalance"] = dict(self.last_rebalance)
-        stats["shards"] = [replica.describe() for replica in self._replicas]
-        return stats
-
     def obs_status(self) -> dict:
         """Per-worker observability: each shard worker's own registry
         snapshot and tracer state (the parent's registry is reported by
@@ -1324,10 +981,7 @@ class RemoteClusterService:
         if self._client is not None:
             self._client.close()
         for process in self._processes.values():
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
+            _join(process)
 
     def __enter__(self) -> "RemoteClusterService":
         return self

@@ -44,8 +44,116 @@ from .router import RebalancePlan, ShardRouter
 from .shards import ShardReplica, ShardedStoreView
 
 
-class ClusterService:
-    """Sharded drop-in for :class:`OntologyService`.
+class ShardedFront:
+    """What every sharded front is, declared once: the cluster state
+    properties, the nine serving endpoints (an ordinary
+    :class:`OntologyService` over the scatter-gather view) and
+    ``stats()``, over ``(_router, _replicas, _view, _service)``.
+    Subclasses add how deltas arrive and how a ring flip moves data.
+    """
+
+    #: Shard-read reply encoding; ``None`` when shards are in-process.
+    _wire: "str | None" = None
+
+    def __init__(self, router: ShardRouter, replicas: list,
+                 registry: MetricsRegistry, **service_options: Any) -> None:
+        self._router = router
+        self._replicas = replicas
+        self._view = ShardedStoreView(router, replicas, registry=registry)
+        self._service = OntologyService(
+            AttentionOntology(store=self._view), registry=registry,
+            **service_options)
+        self._deltas_applied = 0
+        self.last_rebalance: "dict | None" = None
+
+    # ------------------------------------------------------------------
+    # cluster state
+    # ------------------------------------------------------------------
+    @property
+    def num_shards(self) -> int:
+        return self._router.num_shards
+
+    @property
+    def version(self) -> int:
+        """Global delta-stream version the cluster serves."""
+        return self._router.version
+
+    @property
+    def ontology(self) -> AttentionOntology:
+        """The merged read view, as an :class:`AttentionOntology` façade."""
+        return self._service.ontology
+
+    @property
+    def views(self):
+        """The serving facade's maintained-view catalog (per-shard
+        posting fragments live on each replica's own catalog)."""
+        return self._service.views
+
+    @property
+    def router(self) -> ShardRouter:
+        return self._router
+
+    @property
+    def replicas(self) -> list:
+        return list(self._replicas)
+
+    # ------------------------------------------------------------------
+    # serving APIs (delegated to the inner service over the view)
+    # ------------------------------------------------------------------
+    def tag_documents(self, documents: Sequence):
+        """Tag a batch of documents via scatter-gather candidate reads."""
+        return self._service.tag_documents(documents)
+
+    def interpret_queries(self, queries: Sequence[str]):
+        """Analyze a batch of raw query strings."""
+        return self._service.interpret_queries(queries)
+
+    def neighborhood(self, node_id: str, depth: int = 1,
+                     edge_type: "EdgeType | None" = None) -> tuple[str, ...]:
+        return self._service.neighborhood(node_id, depth=depth,
+                                          edge_type=edge_type)
+
+    def concepts_of_entity(self, entity_phrase: str) -> tuple[str, ...]:
+        return self._service.concepts_of_entity(entity_phrase)
+
+    def record_read(self, user_id: str, tags: "list[str]",
+                    weight: float = 1.0):
+        return self._service.record_read(user_id, tags, weight=weight)
+
+    def user_interests(self, user_id: str, k: int = 10, node_type=None):
+        return self._service.user_interests(user_id, k=k, node_type=node_type)
+
+    def recommend_for_user(self, user_id: str, k: int = 5):
+        return self._service.recommend_for_user(user_id, k=k)
+
+    def track_events(self, events) -> int:
+        return self._service.track_events(events)
+
+    def follow_ups(self, read_phrase: str, limit: int = 3):
+        return self._service.follow_ups(read_phrase, limit=limit)
+
+    # ------------------------------------------------------------------
+    # introspection
+    # ------------------------------------------------------------------
+    def stats(self) -> dict:
+        """Inner serving stats plus per-shard placement/version lines."""
+        stats = self._service.stats()
+        stats["num_shards"] = self.num_shards
+        if self._wire is not None:
+            stats["wire"] = self._wire
+        stats["cluster_deltas_applied"] = self._deltas_applied
+        stats["ring"] = {"epoch": self._router.epoch,
+                         "num_shards": self._router.num_shards,
+                         "vnodes": self._router.vnodes}
+        if self.last_rebalance is not None:
+            stats["last_rebalance"] = dict(self.last_rebalance)
+        stats["shards"] = [replica.describe() for replica in self._replicas]
+        return stats
+
+
+class ClusterService(ShardedFront):
+    """Sharded drop-in for :class:`OntologyService`: in-process shards,
+    deltas handed straight to :meth:`refresh`.
 
     Args:
         num_shards: number of hash partitions.
@@ -82,22 +190,16 @@ class ClusterService:
                  snapshot: "dict | None" = None,
                  registry: "MetricsRegistry | None" = None) -> None:
         registry = registry if registry is not None else get_registry()
+        super().__init__(
+            ShardRouter(num_shards),
+            [ShardReplica(i) for i in range(num_shards)], registry,
+            ner=ner, duet=duet, tagger_options=tagger_options,
+            max_rewrites=max_rewrites,
+            max_recommendations=max_recommendations, cache_size=cache_size)
         self._metrics = registry.scope("cluster")
-        self._router = ShardRouter(num_shards)
-        self._replicas = [ShardReplica(i) for i in range(num_shards)]
-        self._view = ShardedStoreView(self._router, self._replicas,
-                                      registry=registry)
-        self._service = OntologyService(
-            AttentionOntology(store=self._view), ner=ner, duet=duet,
-            tagger_options=tagger_options, max_rewrites=max_rewrites,
-            max_recommendations=max_recommendations, cache_size=cache_size,
-            registry=registry,
-        )
-        self._deltas_applied = 0
         self._rebalances = self._metrics.counter("rebalances")
         self._moved_nodes = self._metrics.counter("rebalance_moved_nodes")
         self._transfer_ops = self._metrics.counter("rebalance_transfer_ops")
-        self.last_rebalance: "dict | None" = None
         if ontology is not None and deltas is not None:
             raise OntologyError(
                 "pass either a delta stream or an ontology to fold, not "
@@ -117,37 +219,6 @@ class ClusterService:
             self.refresh([store_to_delta(store)])
         if deltas is not None:
             self.refresh(deltas)
-
-    # ------------------------------------------------------------------
-    # cluster state
-    # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return self._router.num_shards
-
-    @property
-    def version(self) -> int:
-        """Global delta-stream version the cluster serves."""
-        return self._router.version
-
-    @property
-    def ontology(self) -> AttentionOntology:
-        """The merged read view, as an :class:`AttentionOntology` façade."""
-        return self._service.ontology
-
-    @property
-    def views(self):
-        """The serving facade's maintained-view catalog (per-shard
-        posting fragments live on each replica's own catalog)."""
-        return self._service.views
-
-    @property
-    def router(self) -> ShardRouter:
-        return self._router
-
-    @property
-    def replicas(self) -> "list[ShardReplica]":
-        return list(self._replicas)
 
     def bootstrap(self, snapshot: dict) -> None:
         """Cold-start the shards from an :meth:`OntologyStore.compact`
@@ -301,54 +372,3 @@ class ClusterService:
             self._router.sync_shard_version(dst, dest.store.version)
             total_ops += result["ops"]
         return total_ops
-
-    # ------------------------------------------------------------------
-    # serving APIs (delegated to the inner service over the view)
-    # ------------------------------------------------------------------
-    def tag_documents(self, documents: Sequence):
-        """Tag a batch of documents via scatter-gather candidate reads."""
-        return self._service.tag_documents(documents)
-
-    def interpret_queries(self, queries: Sequence[str]):
-        """Analyze a batch of raw query strings."""
-        return self._service.interpret_queries(queries)
-
-    def neighborhood(self, node_id: str, depth: int = 1,
-                     edge_type: "EdgeType | None" = None) -> tuple[str, ...]:
-        return self._service.neighborhood(node_id, depth=depth,
-                                          edge_type=edge_type)
-
-    def concepts_of_entity(self, entity_phrase: str) -> tuple[str, ...]:
-        return self._service.concepts_of_entity(entity_phrase)
-
-    def record_read(self, user_id: str, tags: "list[str]",
-                    weight: float = 1.0):
-        return self._service.record_read(user_id, tags, weight=weight)
-
-    def user_interests(self, user_id: str, k: int = 10, node_type=None):
-        return self._service.user_interests(user_id, k=k, node_type=node_type)
-
-    def recommend_for_user(self, user_id: str, k: int = 5):
-        return self._service.recommend_for_user(user_id, k=k)
-
-    def track_events(self, events) -> int:
-        return self._service.track_events(events)
-
-    def follow_ups(self, read_phrase: str, limit: int = 3):
-        return self._service.follow_ups(read_phrase, limit=limit)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Inner serving stats plus per-shard placement/version lines."""
-        stats = self._service.stats()
-        stats["num_shards"] = self.num_shards
-        stats["cluster_deltas_applied"] = self._deltas_applied
-        stats["ring"] = {"epoch": self._router.epoch,
-                         "num_shards": self._router.num_shards,
-                         "vnodes": self._router.vnodes}
-        if self.last_rebalance is not None:
-            stats["last_rebalance"] = dict(self.last_rebalance)
-        stats["shards"] = [replica.describe() for replica in self._replicas]
-        return stats

@@ -26,15 +26,12 @@ object is *replaced*, which is why consumers reach it through
 from __future__ import annotations
 
 import base64
-import json
-import socket
-from typing import Any
 
 from ..core.serialize import delta_from_dict
 from ..core.store import OntologyDelta, OntologyStore
 from ..errors import DeltaGapError, ReproError
 from ..obs.recorder import get_recorder
-from ..serving.rpc import _canonical_bytes, read_frame_sync, write_frame_sync
+from ..serving.rpc import BlockingRpcClient
 from .catalog import SnapshotCatalog
 from .log import DeltaLog
 
@@ -50,38 +47,18 @@ class SyncLogClient:
     departed follower stops pinning the log.
     """
 
-    def __init__(self, sock: socket.socket,
+    def __init__(self, rpc: BlockingRpcClient,
                  follower_id: "str | None" = None) -> None:
-        self._sock = sock
-        self._next_id = 0
+        self._rpc = rpc
         self.follower_id = follower_id
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float = 30.0,
                 follower_id: "str | None" = None) -> "SyncLogClient":
-        sock = socket.create_connection((host, port), timeout=timeout)
-        return cls(sock, follower_id=follower_id)
-
-    def _call(self, method: str, **kwargs) -> Any:
-        request_id = self._next_id
-        self._next_id += 1
-        payload = _canonical_bytes(
-            {"id": request_id, "method": method, "kwargs": kwargs})
-        write_frame_sync(self._sock, payload)
-        frame = read_frame_sync(self._sock)
-        if frame is None:
-            raise ReproError("log publisher closed the connection")
-        body = json.loads(frame.decode("utf-8"))
-        if body.get("id") != request_id:
-            raise ReproError("log publisher response id mismatch")
-        error = body.get("error")
-        if error is not None:
-            if error.get("type") == "DeltaGapError":
-                raise DeltaGapError(error.get("message", "delta stream gap"))
-            raise ReproError(
-                f"log publisher error {error.get('type')}: "
-                f"{error.get('message')}")
-        return body["result"]
+        return cls(BlockingRpcClient(
+            host, port, timeout, unavailable=lambda detail: ReproError(
+                f"log publisher unavailable: {detail}")),
+            follower_id=follower_id)
 
     # ------------------------------------------------------------------
     def fetch(self, since: int = 0,
@@ -91,7 +68,7 @@ class SyncLogClient:
         kwargs = {"since": since, "max_count": max_count}
         if self.follower_id is not None:
             kwargs["follower"] = self.follower_id
-        result = self._call("log_fetch", **kwargs)
+        result = self._rpc.call("log_fetch", **kwargs)
         return [delta_from_dict(d) for d in result["deltas"]]
 
     def register(self, since: int = 0) -> None:
@@ -99,29 +76,25 @@ class SyncLogClient:
         catalog's segment GC waits for it (requires ``follower_id``)."""
         if self.follower_id is None:
             raise ReproError("registering requires a follower_id")
-        self._call("log_register", follower=self.follower_id, since=since)
+        self._rpc.call("log_register", follower=self.follower_id, since=since)
 
     def forget(self, follower_id: str) -> None:
         """Deregister *another* follower by name — the janitor path: a
         supervisor reaping a crashed follower process clears its pin on
         the GC floor (the corpse can no longer send its own goodbye)."""
-        self._call("log_forget", follower=follower_id)
+        self._rpc.call("log_forget", follower=follower_id)
 
     def wait(self, since: int = 0, timeout: float = 10.0,
              max_count: "int | None" = None) -> "list[OntologyDelta]":
         """Long-poll fetch: blocks server-side until the log grows past
         ``since`` or ``timeout`` lapses (then returns ``[]``)."""
-        previous = self._sock.gettimeout()
+        kwargs = {"since": since, "timeout": timeout, "max_count": max_count}
+        if self.follower_id is not None:
+            kwargs["follower"] = self.follower_id
         # The socket must outwait the server-side long poll.
-        self._sock.settimeout(max(timeout * 2, timeout + 10.0))
-        try:
-            kwargs = {"since": since, "timeout": timeout,
-                      "max_count": max_count}
-            if self.follower_id is not None:
-                kwargs["follower"] = self.follower_id
-            result = self._call("log_wait", **kwargs)
-        finally:
-            self._sock.settimeout(previous)
+        result = self._rpc.finish_call(
+            self._rpc.begin_call("log_wait", **kwargs),
+            timeout=max(timeout * 2, timeout + 10.0))
         return [delta_from_dict(d) for d in result["deltas"]]
 
     def latest_snapshot(self) -> "tuple[dict | None, int]":
@@ -131,11 +104,11 @@ class SyncLogClient:
         rejects the unknown ``accept`` kwarg, so the client retries the
         plain form and gets the decoded-JSON snapshot instead."""
         try:
-            result = self._call("log_snapshot", accept=["columnar"])
+            result = self._rpc.call("log_snapshot", accept=["columnar"])
         except DeltaGapError:
             raise
         except ReproError:
-            result = self._call("log_snapshot")
+            result = self._rpc.call("log_snapshot")
         if result.get("format") == "columnar" \
                 and result.get("segment") is not None:
             from ..core.columnar import decode_store_segment
@@ -145,18 +118,15 @@ class SyncLogClient:
         return result["snapshot"], result["version"]
 
     def status(self) -> dict:
-        return self._call("log_status")
+        return self._rpc.call("log_status")
 
     def close(self) -> None:
         if self.follower_id is not None:
             try:  # best-effort: stop pinning the log's GC floor
-                self._call("log_forget", follower=self.follower_id)
+                self._rpc.call("log_forget", follower=self.follower_id)
             except Exception:
                 pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._rpc.close()
 
     def __enter__(self) -> "SyncLogClient":
         return self

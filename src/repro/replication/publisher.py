@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import asyncio
 import base64
-import json
 import threading
 from collections import deque
 from typing import Any, Callable, Iterable, Sequence
@@ -46,7 +45,7 @@ from ..core.serialize import delta_to_dict
 from ..core.store import OntologyDelta
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry, get_registry
-from ..serving.rpc import _canonical_bytes, read_frame, write_frame
+from ..serving.rpc import Dispatcher, StreamServer
 from .catalog import SnapshotCatalog
 from .log import DeltaLog
 
@@ -57,8 +56,10 @@ PUBLISHER_METHODS = ("log_fetch", "log_wait", "log_snapshot", "log_status",
 _POLL_INTERVAL = 0.05  # seconds between growth re-checks in log_wait
 
 
-class LogPublisher:
-    """Serves one :class:`DeltaLog` (and optional catalog) over TCP.
+class LogPublisher(StreamServer):
+    """Serves one :class:`DeltaLog` (and optional catalog) over TCP: the
+    :data:`PUBLISHER_METHODS` table behind the shared envelope
+    dispatcher, one request per connection at a time.
 
     Args:
         log: the delta log to publish.
@@ -75,9 +76,6 @@ class LogPublisher:
                  registry: "MetricsRegistry | None" = None) -> None:
         self._log = log
         self._catalog = catalog
-        self._host = host
-        self._port = port
-        self._server: "asyncio.AbstractServer | None" = None
         self._grew = asyncio.Event()
         # Registered follower name -> the version it last fetched from
         # ("everything at or below this is applied over there").
@@ -91,9 +89,6 @@ class LogPublisher:
         self._waits = self._metrics.counter("waits")
         self._snapshots_served = self._metrics.counter("snapshots_served")
         self._snapshot_bytes = self._metrics.counter("snapshot_bytes")
-        self._bytes_in = self._metrics.counter("bytes_in")
-        self._bytes_out = self._metrics.counter("bytes_out")
-        self._errors = self._metrics.counter("errors")
         self._followers_gauge = self._metrics.gauge("followers")
         self._last_version_gauge = self._metrics.gauge("last_version")
         self._gc_floor_gauge = self._metrics.gauge("gc_floor")
@@ -108,6 +103,12 @@ class LogPublisher:
         self._injected_partition: "set[str]" = set()
         if catalog is not None:
             catalog.bind_gc_floor(self.follower_floor)
+        super().__init__(
+            Dispatcher("publisher",
+                       {name: getattr(self, "_" + name)
+                        for name in PUBLISHER_METHODS},
+                       self._metrics, span="replication.publisher"),
+            host, port)
 
     # ------------------------------------------------------------------
     # fault injection (test/audit hooks; loop thread only)
@@ -190,28 +191,6 @@ class LogPublisher:
         self.follower_floor()
 
     # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> "tuple[str, int]":
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port)
-        sockname = self._server.sockets[0].getsockname()
-        self._host, self._port = sockname[0], sockname[1]
-        return self._host, self._port
-
-    @property
-    def address(self) -> "tuple[str, int]":
-        return self._host, self._port
-
-    async def serve_forever(self) -> None:
-        await self._server.serve_forever()
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-
-    # ------------------------------------------------------------------
     # producer side
     # ------------------------------------------------------------------
     def publish(self, deltas: "Iterable[OntologyDelta]") -> int:
@@ -230,53 +209,6 @@ class LogPublisher:
                 (self._log.last_version, self._metrics.registry.clock()))
             self._last_version_gauge.set(self._log.last_version)
         return appended
-
-    # ------------------------------------------------------------------
-    # wire handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except (ConnectionError, OSError, ReproError):
-                    break
-                if frame is None:
-                    break
-                self._bytes_in.inc(len(frame))
-                response = await self._handle_request(frame)
-                try:
-                    payload = _canonical_bytes(response)
-                    self._bytes_out.inc(len(payload))
-                    write_frame(writer, payload)
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    break
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_request(self, frame: bytes) -> dict:
-        request_id = None
-        try:
-            request = json.loads(frame.decode("utf-8"))
-            request_id = request.get("id")
-            method = request.get("method")
-            if method not in PUBLISHER_METHODS:
-                raise ReproError(f"unknown publisher method {method!r}")
-            kwargs = request.get("kwargs", {})
-            with self._metrics.time(f"method.{method}.seconds"):
-                result = await getattr(self, "_" + method)(**kwargs)
-            return {"id": request_id, "result": result}
-        except Exception as exc:
-            self._errors.inc()
-            return {"id": request_id,
-                    "error": {"type": type(exc).__name__,
-                              "message": str(exc)}}
 
     # ------------------------------------------------------------------
     # methods (wire handlers)

@@ -14,17 +14,18 @@ the reproduction's stand-in for the production deployment's Tars RPC:
   exact objects on decode.  ``dumps(sync_result) == dumps(rpc_result)``
   is the tests' byte-identity oracle between the sync service and the
   wire (black-box consistency checking).
-* **Server** — :class:`RpcServer` wraps an
-  :class:`~repro.serving.aio.AsyncOntologyService`; each request on a
-  connection is handled in its own task, so many requests from many
-  connections overlap and the micro-batcher merges them.
-* **Client** — :class:`RpcClient` pipelines requests by id over one
-  connection; server-side exceptions come back as :class:`RpcError`
-  with the original exception type name.
-
-Requests are ``{"id", "method", "args", "kwargs"}``; responses carry
-either ``"result"`` or ``"error": {"type", "message"}``.  Only the
-methods in :data:`~repro.serving.aio.SERVING_METHODS` are dispatchable.
+* **Envelope** (DESIGN.md §7) — requests are ``{"id", "method",
+  "args", "kwargs"}`` plus the optional ``"trace"`` / ``"session"`` /
+  ``"stamp"`` keys; responses carry ``"result"`` or ``"error":
+  {"type", "message"}``.  :func:`parse_request`, :class:`Dispatcher`
+  and :func:`encode_envelope` are the only server-side implementation:
+  :class:`RpcServer` here, the log publisher and the shard workers each
+  bring a method table and a transport shim (:class:`StreamServer` for
+  asyncio, :func:`serve_blocking` for a blocking socket).
+* **Clients** — :class:`RpcClient` (asyncio) and
+  :class:`BlockingRpcClient` pipeline requests by id over one
+  connection; an error reply is raised through :func:`wire_error`
+  (:class:`RpcError`, carrying the original exception type name).
 
 **Binary frames** (DESIGN.md §10) — the outer 4-byte length framing is
 shared by a second body encoding: ``magic (2) + codec version (1) +``
@@ -47,8 +48,10 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import enum
+import inspect
 import json
-from typing import Any
+import socket
+from typing import Any, Callable
 
 from ..apps.profiles import InterestProfile
 from ..apps.query import QueryAnalysis
@@ -61,7 +64,12 @@ from ..core.store import (
     NodeType,
     OntologyDelta,
 )
-from ..errors import ReproError
+from ..errors import (
+    DeltaGapError,
+    OntologyError,
+    ReproError,
+    RingEpochError,
+)
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.recorder import get_recorder
 from ..obs.tracing import TraceContext, current_context, get_tracer
@@ -243,35 +251,87 @@ def encode_envelope(request_id, result: Any, error: "dict | None",
     auditor's read stamp: the backend version the call was answered at,
     plus the caller's session id) rides as an extra plain-dict key in
     either body encoding, mirroring how ``"trace"`` rides requests."""
-    if error is not None:
-        body = {"id": request_id, "error": error}
-        return dumps_binary(body) if binary else _canonical_bytes(body)
-    try:
-        if binary:
-            body = {"id": request_id, "result": result}
+    if error is None:
+        try:
+            body = {"id": request_id,
+                    "result": result if binary else encode(result)}
             if stamp is not None:
                 body["stamp"] = stamp
-            return dumps_binary(body)
-        body = {"id": request_id, "result": encode(result)}
-        if stamp is not None:
-            body["stamp"] = stamp
-        return _canonical_bytes(body)
-    except Exception as exc:
-        body = {"id": request_id,
-                "error": {"type": type(exc).__name__,
-                          "message": str(exc)}}
-        return dumps_binary(body) if binary else _canonical_bytes(body)
+            return dumps_binary(body) if binary else _canonical_bytes(body)
+        except Exception as exc:
+            error = _error_body(exc)
+    body = {"id": request_id, "error": error}
+    return dumps_binary(body) if binary else _canonical_bytes(body)
 
 
-def negotiate_result(wire_state: "dict[str, bool]",
-                     codec) -> dict:
-    """Shared ``negotiate`` handler: flip the connection to binary
-    responses when the client's codec version matches, else stay JSON
-    and report the version this side speaks (the client falls back)."""
-    if codec == BINARY_CODEC_VERSION:
-        wire_state["binary"] = True
-        return {"wire": "binary", "codec": BINARY_CODEC_VERSION}
-    return {"wire": "json", "codec": BINARY_CODEC_VERSION}
+def _error_body(exc: Exception) -> dict:
+    """The one exception -> wire error mapping (:func:`wire_error` is
+    the way back)."""
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
+def parse_request(frame: bytes) -> tuple:
+    """Frame body -> ``(id, method, args, kwargs, trace, session,
+    want_stamp)``.  Requests are always JSON (they are small; replies
+    carry the bulk).  Every key but ``id``/``method`` is optional, so a
+    peer that predates a key (or never learnt it) still interoperates:
+    absent means empty / untraced / unstamped.  ``args``/``kwargs`` come
+    back still codec-encoded — :func:`decode` can refuse them, and that
+    error reply must still echo the id."""
+    body = json.loads(frame.decode("utf-8"))
+    if not isinstance(body, dict):
+        raise ReproError("an RPC request must be a JSON object")
+    return (body.get("id"), body.get("method"),
+            body.get("args", []), body.get("kwargs", {}),
+            TraceContext.from_wire(body.get("trace")),
+            body.get("session"), bool(body.get("stamp")))
+
+
+def build_request(request_id: int, method: str, args, kwargs: dict,
+                  trace: "TraceContext | None" = None,
+                  session: "str | None" = None,
+                  stamp: bool = False) -> bytes:
+    """Inverse of :func:`parse_request`; optional keys are omitted, not
+    sent empty, so an untraced unstamped request is the four-key
+    envelope every peer version understands."""
+    envelope = {"id": request_id, "method": method,
+                "args": encode(list(args)), "kwargs": encode(kwargs)}
+    if stamp:
+        envelope["stamp"] = True
+    if session is not None:
+        envelope["session"] = str(session)
+    if trace is not None:
+        envelope["trace"] = trace.to_wire()
+    return _canonical_bytes(envelope)
+
+
+#: Exception type names a client re-raises as that local class, because
+#: callers recover by catching it (gap -> re-bootstrap, unknown node ->
+#: "not on this shard"); each entry is also an :class:`RpcError`.
+_WIRE_ERRORS = {cls.__name__: type(cls.__name__, (RpcError, cls), {})
+                for cls in (DeltaGapError, RingEpochError, OntologyError)}
+
+
+def wire_error(error: dict) -> RpcError:
+    """The exception for a reply's ``"error"`` body: a
+    :data:`_WIRE_ERRORS` class when the type name is in the table,
+    plain :class:`RpcError` otherwise."""
+    kind = str(error.get("type"))
+    return _WIRE_ERRORS.get(kind, RpcError)(kind, str(error.get("message")))
+
+
+def _wants_binary(wire: str) -> bool:
+    if wire not in ("json", "binary"):
+        raise ReproError(f"unknown wire encoding {wire!r}")
+    return wire == "binary"
+
+
+def _settled_wire(reply: Any) -> str:
+    """The encoding a ``negotiate`` reply settled on: an old server's
+    unknown-method *error* (callers pass ``None``) and a version-skewed
+    one's ``wire: json`` both degrade to JSON instead of hanging."""
+    return "binary" if isinstance(reply, dict) \
+        and reply.get("wire") == "binary" else "json"
 
 
 # ----------------------------------------------------------------------
@@ -299,9 +359,7 @@ def write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
 
 
 def read_frame_sync(sock) -> "bytes | None":
-    """Blocking-socket twin of :func:`read_frame` (same wire layout);
-    used by the replication followers and remote shard clients, which
-    are synchronous processes."""
+    """Blocking-socket twin of :func:`read_frame` (same wire layout)."""
     header = _recv_exactly(sock, 4)
     if header is None:
         return None
@@ -332,41 +390,187 @@ def write_frame_sync(sock, payload: bytes) -> None:
 
 
 # ----------------------------------------------------------------------
-# server
+# server: one dispatcher, two transport shims
 # ----------------------------------------------------------------------
-class RpcServer:
-    """Serves an :class:`AsyncOntologyService` over a TCP socket.
+class Dispatcher:
+    """Answers request frames from a **method table** — the one place a
+    request envelope is parsed, dispatched, timed, traced, error-mapped
+    and re-encoded (DESIGN.md §7).  A server is a table plus a transport
+    shim (:class:`StreamServer` or :func:`serve_blocking`).
 
-    Each incoming frame spawns a handler task, so requests from all
-    connections run concurrently and mergeable calls micro-batch.
+    Args:
+        kind: names the table in the unknown-method error.
+        methods: name -> callable; an awaitable result is awaited.
+        metrics: the server's registry scope for the dispatcher series.
+        span: span-name prefix (``<span>.<method>``); ``span_attrs``
+            ride every span.
+        timer: histogram name, ``{}`` replaced by the method label.
+        stamped: ``async (method, *args, **kwargs) -> (result,
+            version)``; with it a request carrying ``"stamp"`` gets a
+            stamped reply, without it the key is ignored.
+        anomalies: record ``rpc.error`` / ``rpc.slow_call`` recorder
+            events (the serving tier's SLO symptoms; a publisher's
+            long-poll is slow by design).
+
+    Method names come off the wire: unknown ones share the ``unknown``
+    metric label so a misbehaving peer cannot mint unbounded series.
     """
 
-    def __init__(self, service: AsyncOntologyService,
-                 host: str = "127.0.0.1", port: int = 0,
-                 max_inflight: int = 64,
-                 registry: "MetricsRegistry | None" = None) -> None:
+    def __init__(self, kind: str, methods: "dict[str, Callable]", metrics,
+                 span: str, timer: str = "method.{}.seconds",
+                 stamped: "Callable | None" = None, anomalies: bool = False,
+                 **span_attrs: Any) -> None:
+        self._kind = kind
+        self._methods = methods
+        self._metrics = metrics
+        self._span = span
+        self._span_attrs = span_attrs
+        self._timer = timer
+        self._stamped = stamped
+        self._anomalies = anomalies
+        self._connections = metrics.counter("connections")
+        self._frames_in = metrics.counter("frames_in")
+        self._frames_out = metrics.counter("frames_out")
+        self._bytes_in = metrics.counter("bytes_in")
+        self._bytes_out = metrics.counter("bytes_out")
+        self._requests = metrics.counter("requests")
+        self._errors = metrics.counter("errors")
+        self._negotiated_binary = metrics.counter("negotiated_binary")
+        self._inflight = metrics.gauge("inflight")
+
+    def connect(self) -> "dict[str, bool]":
+        """Per-connection wire state, flipped by a ``negotiate``
+        request.  Replies racing the flip are harmless — clients sniff
+        every frame's magic instead of trusting the mode."""
+        self._connections.inc()
+        return {"binary": False}
+
+    async def handle(self, frame: bytes, conn: "dict[str, bool]") -> bytes:
+        """One request frame in, its reply frame out; never raises."""
+        self._frames_in.inc()
+        self._bytes_in.inc(len(frame))
+        self._inflight.add(1)
+        request_id = None
+        result: Any = None
+        error = stamp = None
+        label = "unknown"
+        clock = self._metrics.registry.clock
+        start = clock()
+        try:
+            request_id, method, args, kwargs, trace, session, want_stamp = \
+                parse_request(frame)
+            self._requests.inc()
+            args, kwargs = decode(args), decode(kwargs)
+            handler = self._methods.get(method) \
+                if isinstance(method, str) else None
+            if handler is not None or method == "negotiate":
+                label = method
+            with get_tracer().span(f"{self._span}.{label}",
+                                   parent=trace,
+                                   **self._span_attrs), \
+                    self._metrics.time(self._timer.format(label)):
+                if method == "negotiate":
+                    # Flip to binary replies when the codec versions
+                    # match, else stay JSON and report ours.
+                    if kwargs.get("codec") == BINARY_CODEC_VERSION:
+                        conn["binary"] = True
+                        self._negotiated_binary.inc()
+                    result = {"wire": "binary" if conn["binary"] else "json",
+                              "codec": BINARY_CODEC_VERSION}
+                elif handler is None:
+                    raise ReproError(
+                        f"unknown {self._kind} method {method!r}")
+                elif want_stamp and self._stamped is not None:
+                    result, version = await self._stamped(
+                        method, *args, **kwargs)
+                    stamp = {"version": version}
+                    if session is not None:
+                        stamp["session"] = str(session)
+                else:
+                    result = handler(*args, **kwargs)
+                    if inspect.isawaitable(result):
+                        result = await result
+        except Exception as exc:
+            error = _error_body(exc)
+            self._errors.inc()
+            if self._anomalies:
+                get_recorder().record(
+                    "rpc.error", f"{self._span}.{label}", method=label,
+                    error_type=error["type"], message=error["message"])
+        else:
+            elapsed = clock() - start
+            if self._anomalies and \
+                    elapsed >= get_recorder().slow_call_seconds:
+                get_recorder().record(
+                    "rpc.slow_call", f"{self._span}.{label}", method=label,
+                    seconds=elapsed)
+        finally:
+            self._inflight.add(-1)
+        payload = encode_envelope(request_id, result, error,
+                                  binary=conn["binary"], stamp=stamp)
+        self._frames_out.inc()
+        self._bytes_out.inc(len(payload))
+        return payload
+
+    def handle_blocking(self, frame: bytes,
+                        conn: "dict[str, bool]") -> bytes:
+        """:meth:`handle` for a table of plain functions, run without an
+        event loop: nothing in it suspends, so the coroutine finishes on
+        its first step."""
+        step = self.handle(frame, conn)
+        try:
+            step.send(None)
+        except StopIteration as done:
+            return done.value
+        step.close()
+        raise ReproError(
+            f"a {self._kind} method awaited inside a blocking server")
+
+
+def serve_blocking(server, dispatcher: Dispatcher,
+                   stopped: "Callable[[], bool]") -> None:
+    """Blocking transport shim: accept one peer on the listening socket
+    ``server`` and answer its frames in order until EOF, a broken or
+    oversized frame, or ``stopped()`` turning true after a reply."""
+    try:
+        sock, _addr = server.accept()
+    except OSError:
+        return  # nobody connected within the socket's timeout
+    conn = dispatcher.connect()
+    with sock:
+        while not stopped():
+            try:
+                frame = read_frame_sync(sock)
+                if frame is None:
+                    break
+                write_frame_sync(sock, dispatcher.handle_blocking(frame, conn))
+            except (OSError, ReproError):
+                break  # peer vanished mid-frame or sent garbage
+
+
+class StreamServer:
+    """asyncio transport shim: a TCP listener whose connections read
+    frames, await the dispatcher and write replies, up to
+    ``max_inflight`` requests of one connection at a time (replies may
+    overtake each other; clients pair by id).  Once full, the shim
+    stops reading, the kernel buffers fill and a pipelining client
+    blocks on its socket — backpressure reaches the wire instead of
+    piling up as unbounded tasks."""
+
+    def __init__(self, dispatcher: Dispatcher, host: str, port: int,
+                 max_inflight: int = 1) -> None:
         if max_inflight <= 0:
             raise ReproError("max_inflight must be positive")
-        self._service = service
+        self._dispatcher = dispatcher
         self._host = host
         self._port = port
         self._max_inflight = max_inflight
         self._server: "asyncio.AbstractServer | None" = None
-        registry = registry if registry is not None else get_registry()
-        self._metrics = registry.scope("rpc.server")
-        self._connections = self._metrics.counter("connections")
-        self._frames_in = self._metrics.counter("frames_in")
-        self._frames_out = self._metrics.counter("frames_out")
-        self._bytes_in = self._metrics.counter("bytes_in")
-        self._bytes_out = self._metrics.counter("bytes_out")
-        self._errors = self._metrics.counter("errors")
-        self._negotiated_binary = self._metrics.counter("negotiated_binary")
-        self._inflight = self._metrics.gauge("inflight")
 
     async def start(self) -> "tuple[str, int]":
         """Bind and listen; returns the bound (host, port)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port)
+            self._serve, self._host, self._port)
         sockname = self._server.sockets[0].getsockname()
         self._host, self._port = sockname[0], sockname[1]
         return self._host, self._port
@@ -383,30 +587,23 @@ class RpcServer:
             self._server.close()
             await self._server.wait_closed()
 
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
+    async def _serve(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        conn = self._dispatcher.connect()
         write_lock = asyncio.Lock()
-        # Per-connection wire state: flipped by a ``negotiate`` request.
-        # In-flight responses racing the flip are harmless — the client
-        # sniffs every frame's magic instead of trusting the mode.
-        wire_state = {"binary": False}
-        # Cap in-flight requests per connection: once full, we stop
-        # reading frames, the kernel buffers fill, and a pipelining
-        # client blocks on the socket — the batcher's bounded-queue
-        # backpressure actually reaches the wire instead of piling up
-        # as unbounded tasks here.
         inflight = asyncio.Semaphore(self._max_inflight)
         pending: "set[asyncio.Task]" = set()
-        self._connections.inc()
 
-        async def handle_and_release(frame: bytes) -> None:
-            self._inflight.add(1)
+        async def answer(frame: bytes) -> None:
             try:
-                await self._handle_request(frame, writer, write_lock,
-                                           wire_state)
+                payload = await self._dispatcher.handle(frame, conn)
+                async with write_lock:
+                    try:
+                        write_frame(writer, payload)
+                        await writer.drain()
+                    except (ConnectionError, OSError):
+                        pass  # client went away; nobody to reply to
             finally:
-                self._inflight.add(-1)
                 inflight.release()
 
         try:
@@ -417,10 +614,8 @@ class RpcServer:
                     break  # client vanished mid-frame or sent garbage
                 if frame is None:
                     break
-                self._frames_in.inc()
-                self._bytes_in.inc(len(frame))
                 await inflight.acquire()
-                task = asyncio.ensure_future(handle_and_release(frame))
+                task = asyncio.ensure_future(answer(frame))
                 pending.add(task)
                 task.add_done_callback(pending.discard)
             if pending:
@@ -434,82 +629,118 @@ class RpcServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _handle_request(self, frame: bytes,
-                              writer: asyncio.StreamWriter,
-                              write_lock: asyncio.Lock,
-                              wire_state: "dict[str, bool]") -> None:
-        request_id = None
-        error = None
-        result: Any = None
-        stamp: "dict | None" = None
-        label = "unknown"
-        recorder = get_recorder()
-        start = self._metrics.registry.clock()
-        try:
-            request = json.loads(frame.decode("utf-8"))
-            request_id = request.get("id")
-            method = request.get("method")
-            args = decode(request.get("args", []))
-            kwargs = decode(request.get("kwargs", {}))
-            # Caller's trace context, an optional request-envelope key —
-            # absent/malformed (old or untraced peer) means "untraced".
-            ctx = TraceContext.from_wire(request.get("trace"))
-            # The auditor's session id and stamp request ride the same
-            # optional-key pattern: an old client sends neither, an old
-            # server ignores both.
-            session = request.get("session")
-            want_stamp = bool(request.get("stamp"))
-            # Unknown method names come off the wire: fold them into one
-            # bucket so a misbehaving peer can't mint unbounded metrics.
-            known = method == "negotiate" or method in SERVING_METHODS
-            label = method if known else "unknown"
-            with get_tracer().span(f"rpc.server.{label}", parent=ctx):
-                with self._metrics.time(f"method.{label}.seconds"):
-                    if method == "negotiate":
-                        result = negotiate_result(wire_state,
-                                                  kwargs.get("codec"))
-                        if wire_state["binary"]:
-                            self._negotiated_binary.inc()
-                    elif method not in SERVING_METHODS:
-                        raise ReproError(f"unknown RPC method {method!r}")
-                    elif want_stamp:
-                        result, version = await self._service.stamped(
-                            method, *args, **kwargs)
-                        stamp = {"version": version}
-                        if session is not None:
-                            stamp["session"] = str(session)
-                    else:
-                        result = await getattr(self._service, method)(
-                            *args, **kwargs)
-        except Exception as exc:
-            error = {"type": type(exc).__name__, "message": str(exc)}
-            self._errors.inc()
-            recorder.record("rpc.error", f"rpc.server.{label}",
-                            method=label, error_type=type(exc).__name__,
-                            message=str(exc))
-        else:
-            elapsed = self._metrics.registry.clock() - start
-            if elapsed >= recorder.slow_call_seconds:
-                recorder.record("rpc.slow_call", f"rpc.server.{label}",
-                                method=label, seconds=elapsed)
-        payload = encode_envelope(request_id, result, error,
-                                  binary=wire_state["binary"], stamp=stamp)
-        self._frames_out.inc()
-        self._bytes_out.inc(len(payload))
-        async with write_lock:
+
+class RpcServer(StreamServer):
+    """Serves an :class:`AsyncOntologyService` over a TCP socket: the
+    :data:`~repro.serving.aio.SERVING_METHODS` table, stamped replies,
+    and up to ``max_inflight`` requests per connection in flight so
+    mergeable calls micro-batch."""
+
+    def __init__(self, service: AsyncOntologyService,
+                 host: str = "127.0.0.1", port: int = 0,
+                 max_inflight: int = 64,
+                 registry: "MetricsRegistry | None" = None) -> None:
+        registry = registry if registry is not None else get_registry()
+        super().__init__(
+            Dispatcher("RPC",
+                       {name: getattr(service, name)
+                        for name in SERVING_METHODS},
+                       registry.scope("rpc.server"), span="rpc.server",
+                       stamped=service.stamped, anomalies=True),
+            host, port, max_inflight)
+
+
+# ----------------------------------------------------------------------
+# clients
+# ----------------------------------------------------------------------
+class BlockingRpcClient:
+    """One blocking connection to a :class:`Dispatcher`-backed server:
+    the socket, the request-id counter and reply parsing that log
+    followers and shard proxies hold instead of owning.
+
+    Requests pipeline: :meth:`begin_call` puts one on the wire,
+    :meth:`finish_call` collects its reply; replies pair by id in any
+    order, and one nobody waits for any more (its ``finish_call`` timed
+    out) is dropped — a late answer cannot shift later calls onto the
+    wrong reply.  ``wire="binary"`` is negotiated (JSON fallback);
+    ``unavailable`` builds the exception for a connection-level failure
+    (send/receive error, timeout, EOF) from a detail string.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float = 30.0,
+                 wire: str = "json",
+                 unavailable: "Callable[[str], Exception] | None" = None
+                 ) -> None:
+        binary = _wants_binary(wire)
+        self._unavailable = unavailable or (
+            lambda detail: ReproError(f"RPC peer unavailable: {detail}"))
+        self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._next_id = 0
+        self._awaited: "set[int]" = set()
+        self._replies: "dict[int, dict]" = {}
+        self.wire = "json"
+        if binary:
             try:
-                write_frame(writer, payload)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # client went away; nothing to deliver the reply to
+                reply = self.call("negotiate", codec=BINARY_CODEC_VERSION)
+            except ReproError:
+                reply = None
+            self.wire = _settled_wire(reply)
+
+    def begin_call(self, method: str, *args, **kwargs) -> int:
+        """Dispatch one request without waiting for its reply.  The
+        caller's trace context (if any) rides along, so the server's
+        span becomes its child across the process boundary."""
+        request_id = self._next_id
+        self._next_id += 1
+        payload = build_request(request_id, method, args, kwargs,
+                                trace=current_context())
+        try:
+            write_frame_sync(self._sock, payload)
+        except OSError as exc:
+            raise self._unavailable(repr(exc)) from exc
+        self._awaited.add(request_id)
+        return request_id
+
+    def finish_call(self, request_id: int,
+                    timeout: "float | None" = None) -> Any:
+        """Collect the reply of a :meth:`begin_call` (waiting up to
+        ``timeout`` seconds instead of the connection's default, when
+        given); raises :func:`wire_error` for an error reply."""
+        previous = self._sock.gettimeout()
+        try:
+            if timeout is not None:
+                self._sock.settimeout(timeout)
+            while request_id not in self._replies:
+                frame = read_frame_sync(self._sock)
+                if frame is None:
+                    raise self._unavailable("peer closed the connection")
+                body = loads_envelope(frame)
+                if body.get("id") in self._awaited:
+                    self._replies[body["id"]] = body
+        except OSError as exc:
+            raise self._unavailable(repr(exc)) from exc
+        finally:
+            self._awaited.discard(request_id)
+            if timeout is not None:
+                self._sock.settimeout(previous)
+        body = self._replies.pop(request_id)
+        if body.get("error") is not None:
+            raise wire_error(body["error"])
+        return body["result"]
+
+    def call(self, method: str, *args, **kwargs) -> Any:
+        return self.finish_call(self.begin_call(method, *args, **kwargs))
+
+    def close(self) -> None:
+        try:
+            self._sock.close()
+        except OSError:
+            pass
 
 
-# ----------------------------------------------------------------------
-# client
-# ----------------------------------------------------------------------
 class RpcClient:
-    """Pipelined client for :class:`RpcServer` (one connection, many
-    in-flight requests matched by id)."""
+    """Pipelined asyncio client for :class:`RpcServer` (one connection,
+    many in-flight requests matched by id)."""
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter,
@@ -540,27 +771,21 @@ class RpcClient:
                       wire: str = "json",
                       registry: "MetricsRegistry | None" = None
                       ) -> "RpcClient":
-        if wire not in ("json", "binary"):
-            raise ReproError(f"unknown wire encoding {wire!r}")
+        binary = _wants_binary(wire)
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer, registry=registry)
-        if wire == "binary":
+        if binary:
             await client.negotiate()
         return client
 
     async def negotiate(self) -> str:
         """Ask the server for binary responses; returns the settled wire
-        ("binary", or "json" when the server is older/mismatched — an
-        old server reports an unknown method *error*, so a binary-hoping
-        client degrades instead of hanging)."""
+        (see :func:`_settled_wire`)."""
         try:
-            reply = await self.call("negotiate",
-                                    codec=BINARY_CODEC_VERSION)
+            reply = await self.call("negotiate", codec=BINARY_CODEC_VERSION)
         except RpcError:
-            self.wire = "json"
-            return self.wire
-        self.wire = "binary" if isinstance(reply, dict) \
-            and reply.get("wire") == "binary" else "json"
+            reply = None
+        self.wire = _settled_wire(reply)
         return self.wire
 
     async def call(self, method: str, *args, **kwargs) -> Any:
@@ -596,21 +821,11 @@ class RpcClient:
         if stamped:
             self._stamped.add(request_id)
         with get_tracer().span(f"rpc.client.{method}") as span:
-            envelope = {"id": request_id, "method": method,
-                        "args": encode(list(args)),
-                        "kwargs": encode(kwargs)}
-            if stamped:
-                envelope["stamp"] = True
-            if session is not None:
-                envelope["session"] = str(session)
-            if span is not None:
-                # The client span is the server span's parent: its ids
-                # ride the request envelope (requests are always JSON,
-                # so one field layout covers both wire formats; an
-                # untraced request carries no key at all and an old
-                # server ignores the extra one).
-                envelope["trace"] = span.ctx.to_wire()
-            payload = _canonical_bytes(envelope)
+            # The client span is the server span's parent.
+            payload = build_request(
+                request_id, method, args, kwargs,
+                trace=span.ctx if span is not None else None,
+                session=session, stamp=stamped)
             self._inflight.add(1)
             try:
                 with self._metrics.time(f"method.{method}.seconds"):
@@ -643,8 +858,7 @@ class RpcClient:
                 if future is None or future.done():
                     continue
                 if "error" in body:
-                    future.set_exception(RpcError(
-                        body["error"]["type"], body["error"]["message"]))
+                    future.set_exception(wire_error(body["error"]))
                 elif wants_stamp:
                     future.set_result((body["result"], body.get("stamp")))
                 else:

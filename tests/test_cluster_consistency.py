@@ -421,6 +421,30 @@ def log_dir(tmp_path, request):
     return tmp_path / "log"
 
 
+def _resize(remote, num_shards, publish, chunked: bool):
+    """One remote resize, driven in one call or — the same protocol by
+    hand — as begin/step/finish with single-node chunks."""
+    if not chunked:
+        return remote.rebalance(num_shards, publish=publish)
+    pending = remote.begin_rebalance(num_shards, publish=publish,
+                                     chunk_nodes=1)
+    assert pending > 0 and remote.rebalance_staged
+    while pending:
+        pending = remote.rebalance_step()
+    return remote.finish_rebalance()
+
+
+def _resize_outcome(remote, replies) -> tuple:
+    """What one-shot and chunked drives of the same resize must agree
+    on: reply bytes, per-shard describe() lines, transfer accounting
+    (``transfer_chunks`` is the one counter that names the drive)."""
+    counters = dict(remote.last_rebalance)
+    chunks = counters.pop("transfer_chunks")
+    assert chunks == remote.stats()["last_rebalance"]["transfer_chunks"]
+    return (dumps(replies),
+            [replica.describe() for replica in remote.replicas], counters)
+
+
 class TestRemoteRebalanceCrashRecovery:
     def _seed_log(self, log_dir):
         producer = AttentionOntology()
@@ -445,75 +469,93 @@ class TestRemoteRebalanceCrashRecovery:
         is already published when the dead worker is discovered, so its
         replacement must re-bootstrap from snapshot + tail *across* the
         flip — landing in the new epoch with no delta gap — while the
-        cluster stays byte-identical to the single store."""
-        producer, log, catalog, ner = self._seed_log(log_dir)
-        single = OntologyService(producer, ner=ner,
-                                 tagger_options=TAGGER_OPTIONS)
+        cluster stays byte-identical to the single store.  Driven
+        one-shot and chunked; both must land in the same state."""
         queries = ["best marvel movies", "thor review"]
-        with PublisherThread(log, catalog) as publisher:
-            with RemoteClusterService(publisher.address, num_shards=2,
-                                      ner=ner,
-                                      tagger_options=TAGGER_OPTIONS
-                                      ) as remote:
-                remote.terminate_worker(1)
-                delta = remote.rebalance(3, publish=publisher.publish)
-                single.refresh([delta])
-                # The corpse was found and re-bootstrapped mid-rebalance.
-                assert remote.last_rebalance["recovered_shards"] == [1]
-                assert remote.num_shards == 3
-                assert remote.version == producer.store.version
-                # Every worker (revived, surviving, and newly seeded)
-                # serves the new epoch...
-                syncs = [replica.sync(remote.version)
-                         for replica in remote.replicas]
-                assert [line["epoch"] for line in syncs] == [1, 1, 1]
-                # ...the revival came from snapshot + tail, not a gap
-                # (a gap would surface as recovered=True on re-sync).
-                assert all(not line["recovered"] for line in syncs)
-                # ...and the cluster is still byte-identical.
-                assert dumps(single.interpret_queries(queries)) == \
-                    dumps(remote.interpret_queries(queries))
-                assert dumps(single.stats()["ontology"]) == \
-                    dumps(remote.stats()["ontology"])
+        outcomes = []
+        for chunked in (False, True):
+            producer, log, catalog, ner = self._seed_log(
+                log_dir / ("chunked" if chunked else "one_shot"))
+            single = OntologyService(producer, ner=ner,
+                                     tagger_options=TAGGER_OPTIONS)
+            with PublisherThread(log, catalog) as publisher:
+                with RemoteClusterService(publisher.address, num_shards=2,
+                                          ner=ner,
+                                          tagger_options=TAGGER_OPTIONS
+                                          ) as remote:
+                    remote.terminate_worker(1)
+                    delta = _resize(remote, 3, publisher.publish, chunked)
+                    single.refresh([delta])
+                    # The corpse was found and re-bootstrapped
+                    # mid-rebalance.
+                    assert remote.last_rebalance["recovered_shards"] == [1]
+                    assert remote.num_shards == 3
+                    assert remote.version == producer.store.version
+                    # Every worker (revived, surviving, and newly
+                    # seeded) serves the new epoch...
+                    syncs = [replica.sync(remote.version)
+                             for replica in remote.replicas]
+                    assert [line["epoch"] for line in syncs] == [1, 1, 1]
+                    # ...the revival came from snapshot + tail, not a
+                    # gap (a gap would surface as recovered=True on
+                    # re-sync).
+                    assert all(not line["recovered"] for line in syncs)
+                    # ...and the cluster is still byte-identical.
+                    replies = remote.interpret_queries(queries)
+                    assert dumps(single.interpret_queries(queries)) == \
+                        dumps(replies)
+                    assert dumps(single.stats()["ontology"]) == \
+                        dumps(remote.stats()["ontology"])
+                    outcomes.append(_resize_outcome(remote, replies))
+        assert outcomes[0] == outcomes[1]
 
     def test_rebalance_syncs_lagging_workers_before_slicing(self, log_dir):
         """Regression (review finding): a rebalance must bring every
         worker to the log head *before* extracting transfer slices —
         otherwise a delta published since the last sync is missing from
-        the slice, and the seeded shard serves stale state forever."""
-        producer, log, catalog, ner = self._seed_log(log_dir)
-        single = OntologyService(producer, ner=ner,
-                                 tagger_options=TAGGER_OPTIONS)
-        with PublisherThread(log, catalog) as publisher:
-            with RemoteClusterService(publisher.address, num_shards=2,
-                                      ner=ner,
-                                      tagger_options=TAGGER_OPTIONS
-                                      ) as remote:
-                # Publish payload updates to *every* node (whichever
-                # ones move, their latest state is post-update) without
-                # syncing the cluster...
-                producer.begin_delta("late")
-                for node in list(producer.nodes()):
-                    producer.update_payload(node.node_id, {"late": 1})
-                late = producer.commit_delta()
-                publisher.publish([late])
-                single.refresh([late])
-                assert remote.version < producer.store.version  # lagging
-                # ...then rebalance straight away: slices must reflect
-                # the late delta, not the workers' stale replicas.
-                delta = remote.rebalance(4, publish=publisher.publish)
-                single.refresh([delta])
-                assert remote.version == producer.store.version
-                queries = ["best marvel movies", "iron man review"]
-                assert dumps(single.interpret_queries(queries)) == \
-                    dumps(remote.interpret_queries(queries))
-                moved = [node_id for node_id in remote.router._owner
-                         if remote.router.owner_of(node_id) >= 2]
-                assert moved, "growth to 4 shards should move some nodes"
-                for node_id in moved:
-                    assert remote.ontology.store.node(node_id).payload.get(
-                        "late") == 1, f"moved node {node_id} lost the " \
-                        "late payload update"
+        the slice, and the seeded shard serves stale state forever.
+        Driven one-shot and chunked; both must land in the same state."""
+        queries = ["best marvel movies", "iron man review"]
+        outcomes = []
+        for chunked in (False, True):
+            producer, log, catalog, ner = self._seed_log(
+                log_dir / ("chunked" if chunked else "one_shot"))
+            single = OntologyService(producer, ner=ner,
+                                     tagger_options=TAGGER_OPTIONS)
+            with PublisherThread(log, catalog) as publisher:
+                with RemoteClusterService(publisher.address, num_shards=2,
+                                          ner=ner,
+                                          tagger_options=TAGGER_OPTIONS
+                                          ) as remote:
+                    # Publish payload updates to *every* node (whichever
+                    # ones move, their latest state is post-update)
+                    # without syncing the cluster...
+                    producer.begin_delta("late")
+                    for node in list(producer.nodes()):
+                        producer.update_payload(node.node_id, {"late": 1})
+                    late = producer.commit_delta()
+                    publisher.publish([late])
+                    single.refresh([late])
+                    assert remote.version < producer.store.version  # lagging
+                    # ...then rebalance straight away: slices must
+                    # reflect the late delta, not the workers' stale
+                    # replicas.
+                    delta = _resize(remote, 4, publisher.publish, chunked)
+                    single.refresh([delta])
+                    assert remote.version == producer.store.version
+                    replies = remote.interpret_queries(queries)
+                    assert dumps(single.interpret_queries(queries)) == \
+                        dumps(replies)
+                    moved = [node_id for node_id in remote.router._owner
+                             if remote.router.owner_of(node_id) >= 2]
+                    assert moved, "growth to 4 shards should move some nodes"
+                    for node_id in moved:
+                        assert remote.ontology.store.node(
+                            node_id).payload.get("late") == 1, \
+                            f"moved node {node_id} lost the late " \
+                            "payload update"
+                    outcomes.append(_resize_outcome(remote, replies))
+        assert outcomes[0] == outcomes[1]
 
     def test_worker_killed_after_rebalance_restarts_into_epoch(self,
                                                                log_dir):

@@ -1,5 +1,9 @@
 """Tests for repro.apps.profiles (user interest modeling)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps.profiles import UserProfiler
@@ -102,3 +106,37 @@ class TestRecommendation:
     def test_k_limits_output(self, profiler, ontology):
         profiler.record_read("u1", ["honda civic"])
         assert len(profiler.recommend_tags("u1", k=1)) == 1
+
+
+_HASH_SEED_CHILD = """
+from repro.apps.profiles import UserProfiler
+from repro.core.ontology import AttentionOntology, EdgeType, NodeType
+from repro.serving.rpc import dumps
+
+onto = AttentionOntology()
+concept = onto.add_node(NodeType.CONCEPT, "economy cars")
+names = [f"car model {i}" for i in range(24)]
+for name in names:
+    entity = onto.add_node(NodeType.ENTITY, name)
+    onto.add_edge(concept.node_id, entity.node_id, EdgeType.ISA)
+profiler = UserProfiler(onto)
+for i, name in enumerate(names):
+    profiler.record_read("u1", [name], weight=0.1 + i / 7)
+print(dumps(profiler.recommend_tags("u1")).decode("ascii"))
+print(dumps(profiler.infer("u1").top(onto, k=30)).decode("ascii"))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_replies_identical_across_hash_seeds(self):
+        """``infer`` sums float weights over the observed *set*; the
+        replies must not depend on the interpreter's hash seed, or
+        processes disagree in the last digit (byte identity across
+        workers would need PYTHONHASHSEED pinned)."""
+        outputs = []
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_CHILD], env=env,
+                check=True, capture_output=True, text=True).stdout)
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2]

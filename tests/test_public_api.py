@@ -1,5 +1,6 @@
 """Public-API sanity: exports exist, examples compile, docstrings present."""
 
+import ast
 import importlib
 import pathlib
 import py_compile
@@ -59,6 +60,40 @@ def test_public_modules_have_docstrings():
         if not (stripped.startswith('"""') or stripped.startswith("'''")):
             missing.append(str(path.relative_to(src)))
     assert not missing, f"modules without docstrings: {missing}"
+
+
+_WIRE_CALLS = {"read_frame", "read_frame_sync", "write_frame",
+               "write_frame_sync", "encode_envelope", "loads_envelope"}
+
+
+def _wire_calls(path: pathlib.Path) -> "list[str]":
+    """Frame I/O and envelope codec calls in one source file, plus any
+    ``json.loads`` applied to something named ``frame``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) \
+            else getattr(func, "id", None)
+        on_frame = any(isinstance(part, ast.Name) and part.id == "frame"
+                       for arg in node.args for part in ast.walk(arg))
+        if name in _WIRE_CALLS or (name == "loads" and on_frame):
+            found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_only_rpc_module_touches_frames_and_envelopes():
+    """Structure guard: one envelope implementation.  Servers contribute
+    a method table to ``rpc.Dispatcher`` and clients hold a
+    ``rpc.BlockingRpcClient`` / ``rpc.RpcClient``; a module that reads,
+    writes or parses frames itself is a fourth hand-rolled RPC loop."""
+    src = _repo_root() / "src" / "repro"
+    rpc = src / "serving" / "rpc.py"
+    assert _wire_calls(rpc), "the guard no longer sees rpc.py's own calls"
+    offenders = [call for path in sorted(src.rglob("*.py")) if path != rpc
+                 for call in _wire_calls(path)]
+    assert not offenders, offenders
 
 
 def test_version_string():
