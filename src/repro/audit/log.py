@@ -10,8 +10,8 @@ stamped observation ``(session, method, args, result, stamp)`` handed to
 1. the stamp must be present and echo the session id;
 2. the stamp's version must be >= the session's previous stamp
    (**monotonic reads**);
-3. the oracle is advanced to the stamped version by fetching the log
-   tail (the stamp names the exact state the serving side claims it
+3. the oracle is advanced to the stamped version by polling the log
+   (the stamp names the exact state the serving side claims it
    answered from — the micro-batcher serializes reads against refresh,
    so a stamp never lands mid-batch);
 4. the observed payload must byte-equal (``rpc.dumps``) the oracle's
@@ -33,14 +33,13 @@ an anomaly — the surrounding ring dumps) and kept on
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from typing import Any
 
-from ..core.store import OntologyDelta, OntologyStore
+from ..core.store import OntologyStore
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.recorder import get_recorder
-from ..replication.follower import SyncLogClient
+from ..replication.follower import LogFollower, SyncLogClient
 from ..serving.rpc import dumps
 from ..serving.service import OntologyService
 
@@ -93,7 +92,7 @@ class AuditLog:
         registry: metrics registry for the ``audit`` scope.
     """
 
-    def __init__(self, publisher_address: "tuple[int, int]", *,
+    def __init__(self, publisher_address: "tuple[str, int]", *,
                  ner=None, duet=None,
                  tagger_options: "dict[str, Any] | None" = None,
                  follower_id: str = "auditor",
@@ -106,16 +105,22 @@ class AuditLog:
         self._unchecked = self._metrics.counter("unchecked")
         self._client = SyncLogClient.connect(host, port,
                                              follower_id=follower_id)
-        snapshot, version = self._client.latest_snapshot()
-        tail = self._client.fetch(version if snapshot is not None else 0)
-        store = OntologyStore.bootstrap(snapshot, tail)
-        self._client.register(store.version)
-        self._oracle = OntologyService(store, ner=ner, duet=duet,
-                                       tagger_options=tagger_options,
-                                       registry=registry)
-        # Fetched-but-not-yet-applied deltas (a fetch can overshoot the
-        # stamped version the oracle is advancing to).
-        self._tail: "deque[OntologyDelta]" = deque()
+
+        def oracle_over(head: OntologyStore) -> OntologyService:
+            if self._follower.replica is not None:
+                # The auditor pins the GC floor, so a gap is a hard
+                # auditing error, not a recoverable follower condition:
+                # a rebuilt oracle would have lost every session's
+                # writes.
+                raise ReproError(
+                    "the log was GC'd past the auditor's pinned position; "
+                    "the oracle cannot be rebuilt mid-campaign")
+            return OntologyService(head, ner=ner, duet=duet,
+                                   tagger_options=tagger_options,
+                                   registry=registry)
+
+        self._follower = LogFollower(self._client, oracle_over)
+        self._follower.bootstrap()
         self._sessions: "dict[str, int]" = {}
         self.violations: "list[Violation]" = []
 
@@ -123,26 +128,18 @@ class AuditLog:
     @property
     def version(self) -> int:
         """Store version the oracle currently holds."""
-        return self._oracle.version
+        return self.oracle.version
 
     @property
     def oracle(self) -> OntologyService:
-        return self._oracle
+        return self._follower.replica
 
     def catch_up(self) -> int:
         """Advance the oracle to the log head (and move the auditor's
         GC-floor pin there).  A campaign calls this *before* forcing a
         log GC, so the fault never collides with the auditor's own
         tail."""
-        applied = 0
-        if self._tail:
-            applied += self._oracle.refresh(list(self._tail))
-            self._tail.clear()
-        while True:
-            deltas = self._client.fetch(self._oracle.version)
-            if not deltas:
-                return applied
-            applied += self._oracle.refresh(deltas)
+        return self._follower.poll()
 
     def close(self) -> None:
         self._client.close()
@@ -174,7 +171,7 @@ class AuditLog:
                 f"{last}, this one {version}")
         if method in UNCHECKED_METHODS:
             return None
-        if version < self._oracle.version:
+        if version < self.oracle.version:
             # A concurrent session already advanced the oracle past this
             # stamp; history is gone, so only the session checks above
             # apply.  (Campaign write ops serialize, so writes are never
@@ -182,13 +179,13 @@ class AuditLog:
             if method in WRITE_METHODS:
                 raise ReproError(
                     f"audit write {method} stamped {version} behind the "
-                    f"oracle ({self._oracle.version}); the campaign must "
+                    f"oracle ({self.oracle.version}); the campaign must "
                     f"serialize writes")
             self._unchecked.inc()
             return None
         self._advance(version)
         try:
-            expected = getattr(self._oracle, method)(*args, **kwargs)
+            expected = getattr(self.oracle, method)(*args, **kwargs)
         except Exception as exc:
             return self._flag("oracle-error", session, method, version,
                               f"the oracle refused the call: {exc!r}")
@@ -204,28 +201,15 @@ class AuditLog:
 
     # ------------------------------------------------------------------
     def _advance(self, target: int) -> None:
-        """Replay the log into the oracle up to exactly ``target``.
-        The auditor pins the GC floor, so a gap here is a hard auditing
-        error, not a recoverable follower condition."""
-        while self._oracle.version < target:
-            if not self._tail:
-                fetched = self._client.fetch(self._oracle.version)
-                if not fetched:
-                    raise ReproError(
-                        f"a read was stamped at version {target} but the "
-                        f"published log ends at {self._oracle.version} — "
-                        f"the serving side claims state the system of "
-                        f"record does not have")
-                self._tail.extend(fetched)
-            batch = []
-            while self._tail and self._tail[0].version <= target:
-                batch.append(self._tail.popleft())
-            if not batch:
+        """Replay the log into the oracle up to exactly ``target``."""
+        while self.oracle.version < target:
+            if not self._follower.poll(upto=target):
                 raise ReproError(
-                    f"stamp {target} falls inside delta batch "
-                    f"{self._tail[0].base_version}..{self._tail[0].version}"
-                    f" — stamps must land on batch boundaries")
-            self._oracle.refresh(batch)
+                    f"a read was stamped at version {target} but the "
+                    f"published log replays to {self.oracle.version} and "
+                    f"no batch ends at the stamp — the serving side "
+                    f"claims state the system of record does not have "
+                    f"(stamps must land on batch boundaries)")
 
     def _flag(self, kind: str, session: str, method: str, version: int,
               detail: str) -> Violation:

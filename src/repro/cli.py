@@ -337,8 +337,8 @@ def _serve_rpc(backend, host: str, port: int,
 def _load_from_log(log_dir: str, readonly: bool = True,
                    snapshot_format: str = "json"):
     """Bootstrap a serving ontology (and NER) from a delta log directory
-    via snapshot + tail; returns (ontology, ner, log, catalog, snapshot,
-    tail) so callers reuse the fetched halves instead of re-reading.
+    via snapshot + tail (a :class:`LogFollower` over the in-process
+    log); returns (ontology, ner, log, catalog).
 
     The log is opened read-only by default: a serve process must never
     repair (or truncate) a directory a live builder may still be
@@ -347,23 +347,25 @@ def _load_from_log(log_dir: str, readonly: bool = True,
     serve process then *owns* the directory.
     """
     from .core.ontology import AttentionOntology
-    from .core.store import OntologyStore
-    from .replication import DeltaLog, SnapshotCatalog
+    from .replication import (
+        DeltaLog,
+        LocalLogClient,
+        LogFollower,
+        SnapshotCatalog,
+    )
 
     log = DeltaLog(log_dir, readonly=readonly)
     catalog = SnapshotCatalog(log, readonly=readonly,
                               snapshot_format=snapshot_format)
-    snapshot, snap_version = catalog.latest()
-    tail = log.read(snap_version if snapshot is not None else 0)
-    store = OntologyStore.bootstrap(snapshot, tail)
+    store = LogFollower(LocalLogClient(log, catalog)).bootstrap()
     print(f"log {log_dir}: versions {log.first_version}.."
-          f"{log.last_version}, snapshot at v{snap_version}; "
+          f"{log.last_version}, snapshot at v{catalog.latest_version}; "
           f"bootstrapped store at v{store.version}")
     ontology = AttentionOntology(store=store)
     ner = NerTagger()
     for node in ontology.nodes(NodeType.ENTITY):
         ner.register(node.phrase, "MISC")
-    return ontology, ner, log, catalog, snapshot, tail
+    return ontology, ner, log, catalog
 
 
 def _serve(args: argparse.Namespace) -> int:
@@ -430,16 +432,15 @@ def _serve(args: argparse.Namespace) -> int:
 
     tagger_options = {"coherence_threshold": args.threshold}
     publisher = None
-    log = catalog = snapshot = None
-    tail = []
+    log = catalog = None
     if args.from_log:
         # A remote rebalance appends the ring-epoch record to the log,
         # so that combination opens it writable (this process must own
         # the directory); every other path stays read-only.
         writable = bool(args.remote_shards and args.rebalance_to)
-        ontology, ner, log, catalog, snapshot, tail = \
-            _load_from_log(args.from_log, readonly=not writable,
-                           snapshot_format=args.snapshot_format)
+        ontology, ner, log, catalog = _load_from_log(
+            args.from_log, readonly=not writable,
+            snapshot_format=args.snapshot_format)
     else:
         ontology, ner = _load_with_ner(args.ontology)
 
@@ -461,10 +462,6 @@ def _serve(args: argparse.Namespace) -> int:
                                            trace_dir=args.trace_dir or None,
                                            recorder_dir=args.recorder_dir
                                            or None)
-        elif args.from_log:
-            cluster = ClusterService(num_shards=args.shards, ner=ner,
-                                     tagger_options=tagger_options,
-                                     snapshot=snapshot, deltas=tail)
         else:
             cluster = ClusterService(num_shards=args.shards, ner=ner,
                                      tagger_options=tagger_options,

@@ -15,11 +15,12 @@ over many machines.  This package is the reproduction's cluster tier
   :meth:`ShardRouter.apply_ring` epoch flips producing the
   :class:`RebalancePlan` of moved records;
 * :mod:`repro.cluster.shards` — :class:`ShardReplica` (one shard's store
-  + owned/ghost bookkeeping) and :class:`ShardedStoreView` (a read-only
-  object implementing the store read API by deterministic scatter-gather
-  merges);
-* :mod:`repro.cluster.service` — :class:`ClusterService`: the same
-  serving API as :class:`~repro.serving.service.OntologyService`, with
+  + owned/ghost bookkeeping), :class:`ShardSet` (a router plus the
+  replicas one process holds: where deltas are split and applied) and
+  :class:`ShardedStoreView` (a read-only object implementing the store
+  read API by deterministic scatter-gather merges);
+* :mod:`repro.cluster.service` — :class:`ClusterService`: an
+  :class:`~repro.serving.service.OntologyService` over that view, with
   results byte-identical to a single store at the same stream version;
 * :mod:`repro.cluster.workers` — :class:`TaggingWorkerPool`: a
   multi-process executor whose workers bootstrap replicas from
@@ -36,7 +37,7 @@ from .remote import RemoteClusterService, RemoteShardReplica
 from .ring import HashRing, TransferSlice, ring_delta, ring_op_of
 from .router import RebalancePlan, ShardRouter, stable_hash
 from .service import ClusterService
-from .shards import ShardReplica, ShardedStoreView
+from .shards import ShardReplica, ShardSet, ShardedStoreView
 from .workers import TaggingWorkerPool
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "RemoteShardReplica",
     "ShardReplica",
     "ShardRouter",
+    "ShardSet",
     "ShardedStoreView",
     "TaggingWorkerPool",
     "TransferSlice",

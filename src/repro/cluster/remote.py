@@ -5,14 +5,14 @@ The in-process :class:`~repro.cluster.service.ClusterService` holds its N
 This module moves each shard into its own **worker process** (DESIGN.md
 §8/§9):
 
-* data flows through the **replicated delta log** — every worker runs a
-  log follower against the shared
-  :class:`~repro.replication.publisher.LogPublisher`: it bootstraps from
-  the newest :class:`~repro.replication.catalog.SnapshotCatalog`
-  snapshot plus the log tail (crossing any ring-epoch flips the tail
-  contains), registers itself as a follower so segment GC waits for it,
-  and catches up on demand; a :class:`~repro.errors.DeltaGapError` (the
-  log GC'd past the worker) is recovered by re-bootstrapping;
+* data flows through the **replicated delta log** — every worker, and
+  the parent, runs a :class:`~repro.replication.follower.LogFollower`
+  against the shared :class:`~repro.replication.publisher.LogPublisher`
+  (snapshot-plus-tail bootstrap, catch-up on demand, gap recovery by
+  re-bootstrapping, GC-floor registration: DESIGN.md §8).  A worker's
+  follower feeds a :class:`~repro.cluster.shards.ShardSet` holding its
+  one shard; the parent's feeds the parent itself — a routing-only
+  shard set plus the front's maintained views;
 * reads flow over **RPC** — the parent's
   :class:`~repro.cluster.shards.ShardedStoreView` talks to
   :class:`RemoteShardReplica` proxies speaking the shard read interface
@@ -25,11 +25,10 @@ This module moves each shard into its own **worker process** (DESIGN.md
   :class:`~repro.cluster.ring.TransferSlice` frames pulled from the
   current owners — streaming only the moved node records, their incident
   edges and ghost endpoints, not a full snapshot.  Surviving workers
-  cross the flip as they consume the log record: a pure-growth flip only
-  *demotes* locally; a flip that moves keys *into* a surviving shard
-  (shrink) raises :class:`~repro.errors.RingEpochError` and the worker
-  re-bootstraps from snapshot + tail — which is also the recovery path
-  for a worker that crashed mid-rebalance;
+  cross the flip as they consume the log record
+  (:meth:`~repro.cluster.shards.ShardSet._flip`: demote locally, or
+  re-bootstrap from snapshot + tail — which is also the recovery path
+  for a worker that crashed mid-rebalance);
 * :class:`RemoteClusterService` assembles the pieces into a drop-in for
   ``ClusterService`` whose serving responses are **byte-identical**
   (``rpc.dumps``) to the in-process cluster and to a single store at the
@@ -51,15 +50,8 @@ import socket
 import time
 from typing import Any, Iterable
 
-from ..core.serialize import store_to_delta
-from ..core.store import OntologyDelta, OntologyStore
-from ..errors import (
-    DeltaGapError,
-    OntologyError,
-    ReproError,
-    RingEpochError,
-    ShardUnavailableError,
-)
+from ..core.store import OntologyDelta
+from ..errors import OntologyError, ReproError, ShardUnavailableError
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.recorder import (
     RECORDER_DIR_ENV,
@@ -67,12 +59,12 @@ from ..obs.recorder import (
     get_recorder,
 )
 from ..obs.tracing import TRACE_DIR_ENV, configure_tracer, get_tracer
-from ..replication.follower import SyncLogClient
+from ..replication.follower import LogFollower, SyncLogClient
 from ..serving.rpc import BlockingRpcClient, Dispatcher, serve_blocking
-from .ring import HashRing, TransferSlice, ring_delta, ring_op_of
+from .ring import TransferSlice
 from .router import ShardRouter
 from .service import ShardedFront
-from .shards import ShardReplica
+from .shards import ShardReplica, ShardSet
 
 #: Shard read-interface methods a worker dispatches by name.
 SHARD_READ_METHODS = frozenset({
@@ -84,142 +76,20 @@ SHARD_READ_METHODS = frozenset({
 #: What a :class:`RemoteShardReplica` forwards by name.
 _PROXIED_METHODS = SHARD_READ_METHODS | {"seed", "sync", "obs_status"}
 
-_SYNC_WAIT_SECONDS = 2.0  # one long-poll slice while catching up
-_SYNC_MAX_SECONDS = 120.0  # give up if the log never reaches the target
-
-
-def _advance(router: ShardRouter, deltas: "Iterable[OntologyDelta]",
-             shard_id: "int | None" = None,
-             replica: "ShardReplica | None" = None) -> int:
-    """Route a contiguous delta batch sequence; apply this shard's subs.
-
-    With ``replica=None`` (the parent's router) sub-deltas are split for
-    ownership bookkeeping and discarded — the parent holds no store.
-
-    A ring-epoch record flips the router in place.  A worker can absorb
-    a flip locally only when it *loses* keys (demotion is bookkeeping);
-    a flip that moves keys into its shard needs state it does not hold,
-    so it raises :class:`RingEpochError` — the follower recovery path
-    re-bootstraps from snapshot + tail, which crosses the flip with the
-    full store in hand.
-    """
-    advanced = 0
-    for delta in deltas:
-        if not DeltaGapError.check("shard follower", router.version, delta):
-            continue
-        if ring_op_of(delta) is not None:
-            plan = router.apply_ring(delta)
-            get_recorder().record(
-                "ring.epoch_flip",
-                "cluster.parent" if replica is None else f"shard-{shard_id}",
-                epoch=plan.ring.epoch, num_shards=plan.ring.num_shards)
-            if replica is not None:
-                if shard_id >= plan.ring.num_shards:
-                    raise RingEpochError(
-                        f"shard {shard_id} left the ring at epoch "
-                        f"{plan.ring.epoch} ({plan.ring.num_shards} shards)")
-                moved_in = plan.moved_into(shard_id)
-                if moved_in:
-                    raise RingEpochError(
-                        f"ring epoch {plan.ring.epoch} moves "
-                        f"{len(moved_in)} node records into shard "
-                        f"{shard_id}; re-bootstrap from snapshot + tail")
-                replica.demote(plan.moved_out_of(shard_id))
-            advanced += 1
-            continue
-        subs = router.split(delta)
-        if replica is not None:
-            sub = subs[shard_id]
-            if sub is not None:
-                replica.apply(sub)
-        advanced += 1
-    return advanced
-
-
-def _bootstrap_shard(client: SyncLogClient, num_shards: int,
-                     shard_id: "int | None"
-                     ) -> "tuple[ShardRouter, ShardReplica | None]":
-    """Snapshot-plus-tail bootstrap of one shard (or, with
-    ``shard_id=None``, of a routing-only parent).
-
-    The catalog snapshot and the log tail are first materialised into a
-    full store (:meth:`OntologyStore.bootstrap` — ring-epoch records in
-    the tail apply as version-advancing metadata), whose recorded ring
-    then determines the placement; the head state is folded through a
-    fresh router on that ring and this shard's slice applied.  Every
-    process folds the *same* head through the *same* deterministic
-    router, so all of them agree on ownership and ghost placement — and
-    because the fold happens at the head, a bootstrap crosses any number
-    of ring-epoch flips in one step.  ``num_shards`` is the ring to
-    assume for a log that never recorded one.
-    """
-    snapshot, version = client.latest_snapshot()
-    tail = client.fetch(version if snapshot is not None else 0)
-    full = OntologyStore.bootstrap(snapshot, tail)
-    ring_meta = full.ring
-    ring = HashRing.from_op(ring_meta) if ring_meta is not None \
-        else HashRing(num_shards)
-    if shard_id is not None and shard_id >= ring.num_shards:
-        raise ReproError(
-            f"shard {shard_id} is not in the ring (epoch {ring.epoch} "
-            f"spans {ring.num_shards} shards)")
-    router = ShardRouter.from_ring(ring)
-    replica = ShardReplica(shard_id) if shard_id is not None else None
-    if len(full):
-        subs = router.split(store_to_delta(full))
-        if replica is not None and subs[shard_id] is not None:
-            replica.apply(subs[shard_id])
-    router.fast_forward(full.version)
-    return router, replica
-
 
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
-def _catch_up(client: SyncLogClient, router: ShardRouter,
-              replica: ShardReplica, shard_id: int, target: int
-              ) -> "tuple[ShardRouter, ShardReplica, bool]":
-    """Advance the worker to ``target``, re-bootstrapping through a
-    :class:`DeltaGapError` (including :class:`RingEpochError` flips it
-    cannot absorb locally); returns (router, replica, recovered)."""
-    recovered = False
-    deadline = time.monotonic() + _SYNC_MAX_SECONDS
-    while router.version < target:
-        if time.monotonic() > deadline:
-            raise ReproError(
-                f"shard {shard_id} could not catch up to version "
-                f"{target} (log at {router.version})")
-        try:
-            deltas = client.wait(router.version, timeout=_SYNC_WAIT_SECONDS)
-            _advance(router, deltas, shard_id, replica)
-        except DeltaGapError as exc:
-            get_recorder().record(
-                "replication.gap_rebootstrap", f"shard-{shard_id}",
-                version=router.version, target=target, error=str(exc))
-            router, replica = _bootstrap_shard(client, router.num_shards,
-                                               shard_id)
-            recovered = True
-    # A follower's pinned position is the `since` of its last fetch,
-    # which trails the version it just applied by one batch; confirm
-    # the applied position so the segment-GC floor reflects reality.
-    if client.follower_id is not None:
-        client.register(router.version)
-    return router, replica, recovered
-
-
 class _ShardWorker:
-    """One shard's state and the methods its worker process answers:
+    """One shard's follower and the methods its worker process answers:
     :data:`SHARD_READ_METHODS` straight off the replica, plus the
     control methods below."""
 
-    def __init__(self, shard_id: int, client: SyncLogClient,
-                 router: "ShardRouter | None",
-                 replica: "ShardReplica | None") -> None:
+    def __init__(self, shard_id: int, follower: LogFollower) -> None:
         self.shard_id = shard_id
-        self.client = client
-        # Both None in a rebalance-spawned worker until its seed arrives.
-        self.router = router
-        self.replica = replica
+        # Feeds a one-shard ShardSet; ``follower.replica`` is None in a
+        # rebalance-spawned worker until its seed arrives.
+        self.follower = follower
         self.stopped = False
 
     def methods(self) -> "dict[str, Any]":
@@ -229,10 +99,10 @@ class _ShardWorker:
                     ghost_count=self.ghost_count, obs_status=self.obs_status)
 
     def _seeded(self) -> ShardReplica:
-        if self.replica is None:
+        if self.follower.replica is None:
             raise ReproError(
                 f"shard {self.shard_id} is awaiting its rebalance seed")
-        return self.replica
+        return self.follower.replica.held[self.shard_id]
 
     def _read(self, method: str, *args, **kwargs) -> Any:
         return getattr(self._seeded(), method)(*args, **kwargs)
@@ -241,23 +111,25 @@ class _ShardWorker:
         return self._seeded().ghost_count
 
     def seed(self, state: dict, transfers: "list[TransferSlice]") -> dict:
-        if self.router is not None:
+        if self.follower.replica is not None:
             raise ReproError(f"shard {self.shard_id} already holds state")
-        self.router = ShardRouter.from_state(state)
-        self.replica = ShardReplica(self.shard_id)
+        shards = ShardSet(ShardRouter.from_state(state), (self.shard_id,))
+        replica = shards.held[self.shard_id]
         for transfer in transfers:
-            self.replica.adopt_slice(transfer)
-        self.router.sync_shard_version(self.shard_id,
-                                       self.replica.store.version)
-        self.client.register(self.router.version)
-        return dict(self.replica.describe(), epoch=self.router.epoch,
-                    stream_version=self.router.version)
+            replica.adopt_slice(transfer)
+        shards.router.sync_shard_version(self.shard_id,
+                                         replica.store.version)
+        self.follower.seat(shards)
+        return dict(replica.describe(), epoch=shards.router.epoch,
+                    stream_version=shards.version)
 
     def sync(self, target: int) -> dict:
-        self.router, self.replica, recovered = _catch_up(
-            self.client, self.router, self._seeded(), self.shard_id, target)
-        return dict(self.replica.describe(), recovered=recovered,
-                    epoch=self.router.epoch)
+        self._seeded()
+        recoveries = self.follower.recoveries
+        self.follower.catch_up(target)
+        return dict(self._seeded().describe(),
+                    recovered=self.follower.recoveries > recoveries,
+                    epoch=self.follower.replica.router.epoch)
 
     def obs_status(self) -> dict:
         return {"metrics": get_registry().snapshot(),
@@ -291,17 +163,17 @@ def _shard_worker_main(shard_id: int, num_shards: int,
     try:
         client = SyncLogClient.connect(publisher_host, publisher_port,
                                        follower_id=f"shard-{shard_id}")
-        router = replica = None
+        follower = LogFollower(client, lambda head: ShardSet.build(
+            head, num_shards, (shard_id,)))
         if not seed:
-            router, replica = _bootstrap_shard(client, num_shards, shard_id)
-            client.register(router.version)
+            follower.bootstrap()
         server = socket.create_server(("127.0.0.1", 0))
         server.settimeout(accept_timeout)
         ready.put(("ready", shard_id, server.getsockname()[1]))
     except Exception as exc:
         ready.put(("error", shard_id, f"bootstrap failed: {exc!r}"))
         return
-    worker = _ShardWorker(shard_id, client, router, replica)
+    worker = _ShardWorker(shard_id, follower)
     serve_blocking(
         server,
         Dispatcher("shard", worker.methods(),
@@ -408,8 +280,8 @@ class RemoteClusterService(ShardedFront):
             (it has been rebalanced), the ring is authoritative and the
             fleet comes up at its shard count.
         ner / duet / tagger_options / max_rewrites /
-            max_recommendations / cache_size: forwarded to the inner
-            :class:`OntologyService` running over the remote view.
+            max_recommendations / cache_size: as for
+            :class:`~repro.serving.service.OntologyService`.
         start_timeout: seconds to wait for every worker to bootstrap.
         wire: ``"json"`` (default) or ``"binary"`` — the shard-read
             response encoding each proxy negotiates with its worker
@@ -419,13 +291,13 @@ class RemoteClusterService(ShardedFront):
         trace_dir: span-log directory handed to every spawned worker
             (workers also inherit ``REPRO_TRACE_DIR`` from the
             environment; the explicit argument wins).
-        registry: metrics registry shared by the inner service, the
+        registry: metrics registry shared by the serving scope, the
             scatter view and the cluster's ``cluster`` scope; defaults
             to the process registry.
 
-    The parent holds no shard store: it keeps a routing-only
-    :class:`ShardRouter` (fed from the same log) for owner lookups and
-    runs the ordinary serving stack over a
+    The parent holds no shard store: its follower feeds it the same log
+    into a routing-only :class:`~repro.cluster.shards.ShardSet` (owner
+    lookups) and the front's maintained views, and it serves over a
     :class:`~repro.cluster.shards.ShardedStoreView` of
     :class:`RemoteShardReplica` proxies.
     """
@@ -446,15 +318,14 @@ class RemoteClusterService(ShardedFront):
         self._trace_dir = trace_dir
         self._recorder_dir = recorder_dir
         registry = registry if registry is not None else get_registry()
-        self._metrics = registry.scope("cluster")
-        self._rebalances = self._metrics.counter("rebalances")
-        self._moved_nodes = self._metrics.counter("rebalance_moved_nodes")
-        self._seeded_records = \
-            self._metrics.counter("rebalance_seeded_records")
-        self._recovered_shards = self._metrics.counter("recovered_shards")
-        self._worker_restarts = self._metrics.counter("worker_restarts")
-        self._shard_unavailable = self._metrics.counter("shard_unavailable")
-        self._transfer_chunks = self._metrics.counter("transfer_chunks")
+        metrics = registry.scope("cluster")
+        self._rebalances = metrics.counter("rebalances")
+        self._moved_nodes = metrics.counter("rebalance_moved_nodes")
+        self._seeded_records = metrics.counter("rebalance_seeded_records")
+        self._recovered_shards = metrics.counter("recovered_shards")
+        self._worker_restarts = metrics.counter("worker_restarts")
+        self._shard_unavailable = metrics.counter("shard_unavailable")
+        self._transfer_chunks = metrics.counter("transfer_chunks")
         self._host, self._port = publisher_address
         # Spawn (not fork): the parent may run a publisher event loop in
         # a thread, and forked children could inherit its lock state.
@@ -466,6 +337,7 @@ class RemoteClusterService(ShardedFront):
         # children can vanish), and rebalance/restart terminate workers.
         self._ready_queues: "dict[int, Any]" = {}
         self._replicas: "list[RemoteShardReplica]" = []
+        self._view = None
         self._client: "SyncLogClient | None" = None
         self._closed = False
         # In-progress chunked resize (begin_rebalance .. finish_rebalance):
@@ -473,8 +345,10 @@ class RemoteClusterService(ShardedFront):
         self._staged: "dict | None" = None
         try:
             self._client = SyncLogClient.connect(self._host, self._port)
-            self._router, _ = _bootstrap_shard(self._client, num_shards,
-                                               None)
+            self._follower = LogFollower(
+                self._client, lambda head: self._seat(
+                    ShardSet.build(head, num_shards, ())))
+            self._follower.bootstrap()
             for shard_id in range(self._router.num_shards):
                 self._spawn(shard_id)
             ports = self._await_ready(set(range(self._router.num_shards)))
@@ -491,7 +365,7 @@ class RemoteClusterService(ShardedFront):
             self.close()
             raise
         super().__init__(
-            self._router, self._replicas, registry, ner=ner, duet=duet,
+            self._shards, self._replicas, registry, ner=ner, duet=duet,
             tagger_options=tagger_options, max_rewrites=max_rewrites,
             max_recommendations=max_recommendations, cache_size=cache_size)
         # Reads that hit a dead worker's proxy raise a typed
@@ -648,32 +522,19 @@ class RemoteClusterService(ShardedFront):
         """True while a chunked rebalance is staged but not flipped."""
         return self._staged is not None
 
-    def _advance_parent(self) -> int:
-        """Pull new batches from the shared log into the parent's
-        routing-only router (ring flips apply in place), and fold them
-        into the front service's maintained views — the parent is the
-        only process that sees the actual delta objects."""
-        try:
-            deltas = list(self._client.fetch(self._router.version))
-            advanced = _advance(self._router, deltas)
-        except DeltaGapError as exc:
-            # The log GC'd past the parent's routing state: rebuild it
-            # (workers re-bootstrap themselves on their own gap).  The
-            # view catalog's version now trails the router's; the next
-            # view-backed read rehydrates it from the scatter view.
-            get_recorder().record(
-                "replication.gap_rebootstrap", "cluster.parent",
-                version=self._router.version, error=str(exc))
-            self._router, _ = _bootstrap_shard(
-                self._client, self._router.num_shards, None)
-            # The serving view still routes on the old router object —
-            # without a reseat every node past the gap stays "unrouted"
-            # for point reads even though the workers hold it.
-            self._view.reseat(self._router, self._replicas)
-            return 0
-        for delta in deltas:
-            self._service.fold_views(delta)
-        return advanced
+    def _seat(self, shards: ShardSet) -> "RemoteClusterService":
+        """The build half of the parent as its follower's replica: adopt
+        the routing-only shard set folded from a bootstrapped head.  On
+        a gap re-bootstrap (the log GC'd past the parent; workers
+        recover on their own) the serving view still routes on the old
+        router object — without a reseat every node past the gap stays
+        "unrouted" for point reads even though the workers hold it.
+        The view catalog's version now trails the router's; the next
+        view-backed read rehydrates it from the scatter view."""
+        self._shards = shards
+        if self._view is not None:
+            self._view.reseat(shards.router, self._replicas)
+        return self
 
     def _recover_shard(self, shard_id: int) -> None:
         """Serving-read recovery (the :class:`ShardedStoreView` calls
@@ -695,14 +556,17 @@ class RemoteClusterService(ShardedFront):
             self.restart_shard(shard_id)
 
     def sync(self) -> int:
-        """Pull new batches from the shared log and fan the catch-up
-        signal to every worker; returns batches newly routed."""
+        """Pull new batches from the shared log — the parent is the only
+        process that sees the actual delta objects, so its follower
+        routes them (ring flips apply in place) and folds them into the
+        front's maintained views — and fan the catch-up signal to every
+        worker; returns batches newly routed."""
         if self._staged is not None:
             raise OntologyError(
                 "a staged rebalance is in progress (its ring record is "
                 "already in the log); drive it through rebalance_step() "
                 "to finish_rebalance() before syncing")
-        advanced = self._advance_parent()
+        advanced = self._follower.poll()
         if self._router.num_shards != len(self._replicas):
             raise OntologyError(
                 f"the log's ring epoch spans {self._router.num_shards} "
@@ -711,7 +575,6 @@ class RemoteClusterService(ShardedFront):
                 f"rebalance({self._router.num_shards}, ...)")
         for replica in self._replicas:
             replica.sync(self._router.version)
-        self._deltas_applied += advanced
         return advanced
 
     def refresh(self, deltas: "Iterable[OntologyDelta]") -> int:
@@ -789,7 +652,7 @@ class RemoteClusterService(ShardedFront):
         # extracted: a lagging source would seed a new shard with stale
         # node state that nothing ever repairs.  A dead worker found
         # here is revived through snapshot + tail first.
-        self._advance_parent()
+        self._follower.poll()
         recovered: "list[int]" = []
         self._sync_workers(recovered)
         if self._router.num_shards == num_shards and \
@@ -801,11 +664,7 @@ class RemoteClusterService(ShardedFront):
                 "remote shards are fed from the shared log; pass "
                 "publish= (e.g. PublisherThread.publish) so the "
                 "ring-epoch record reaches it")
-        ring = HashRing(
-            num_shards,
-            self._router.vnodes if vnodes is None else vnodes,
-            self._router.epoch + 1)
-        delta = ring_delta(self._router.version, ring)
+        delta = self._router.next_ring_delta(num_shards, vnodes)
         publish([delta])
         # Plan on a staged router copy: apply_ring mutates in place, and
         # the live router must keep routing reads on the old placement
@@ -873,11 +732,10 @@ class RemoteClusterService(ShardedFront):
             self.rebalance_step()
         self._staged = None
         delta = staged["delta"]
-        plan = self._router.apply_ring(delta)
-        self._service.fold_views(delta)
-        self._reconcile(plan, staged["recovered"], staged["transfers"])
+        self.apply(delta)
+        self._reconcile(staged["plan"], staged["recovered"],
+                        staged["transfers"])
         self.last_rebalance["transfer_chunks"] = staged["chunk_count"]
-        self._deltas_applied += 1
         return delta
 
     def _sync_workers(self, recovered: "list[int]") -> None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from ..core.store import NodeType, OntologyDelta
 from ..errors import OntologyError
-from .ring import DEFAULT_VNODES, HashRing, ring_op_of, stable_hash
+from .ring import DEFAULT_VNODES, HashRing, ring_delta, ring_op_of, stable_hash
 
 __all__ = ["RebalancePlan", "ShardRouter", "stable_hash"]
 
@@ -63,10 +63,6 @@ class RebalancePlan:
         """Owned node records the flip relocates — strictly fewer than a
         full re-route from version 0 whenever placement is ring-based."""
         return len(self.moves)
-
-    def moved_into(self, shard: int) -> "list[str]":
-        return sorted(node_id for node_id, (_src, dst) in self.moves.items()
-                      if dst == shard)
 
     def moved_out_of(self, shard: int) -> "list[str]":
         return sorted(node_id for node_id, (src, _dst) in self.moves.items()
@@ -171,6 +167,14 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # ring epochs
     # ------------------------------------------------------------------
+    def next_ring_delta(self, num_shards: int,
+                        vnodes: "int | None" = None) -> OntologyDelta:
+        """Mint the ring-epoch record resizing to ``num_shards`` at the
+        current stream version (``vnodes`` defaults to the current)."""
+        return ring_delta(self._version, HashRing(
+            num_shards, self.vnodes if vnodes is None else vnodes,
+            self.epoch + 1))
+
     def apply_ring(self, delta: OntologyDelta) -> RebalancePlan:
         """Flip to the ring a ring-epoch record announces.
 

@@ -1,10 +1,17 @@
-"""Shard replicas and the scatter-gather read view (DESIGN.md §6).
+"""Shard replicas, the shard set, and the scatter-gather read view
+(DESIGN.md §6).
 
 :class:`ShardReplica` wraps one shard's :class:`~repro.core.store.
 OntologyStore`: it applies the sub-deltas the
 :class:`~repro.cluster.router.ShardRouter` routes to it and tracks which
 local nodes are *owned* (hash-assigned) versus *ghost* endpoint replicas
 materialised for cross-shard edges.
+
+:class:`ShardSet` is a router plus the replicas one process holds — all
+of them in a :class:`~repro.cluster.service.ClusterService`, one in a
+shard worker, none in a remote cluster's routing-only parent.  It is
+where a delta is split and applied, where a head store is folded into
+shards, and where a ring-epoch record is executed.
 
 :class:`ShardedStoreView` then exposes the cluster as one read-only
 object implementing the :class:`OntologyStore` read API, so the ordinary
@@ -28,13 +35,14 @@ reconstruct single-store behaviour exactly:
   edges, reproducing the single store's Table 1/2 numbers exactly.
 
 Mutations raise: cluster replicas are serving replicas, fed exclusively
-by the delta stream through ``ClusterService.refresh``.
+by the delta stream through :meth:`ShardSet.apply`.
 """
 
 from __future__ import annotations
 
 import copy
 
+from ..core.serialize import store_to_delta
 from ..core.store import (
     AttentionNode,
     Edge,
@@ -45,13 +53,19 @@ from ..core.store import (
     creation_order,
 )
 from ..core.zsets import delta_to_zsets, token_rows
-from ..errors import OntologyError, ShardUnavailableError
+from ..errors import (
+    DeltaGapError,
+    OntologyError,
+    ReproError,
+    RingEpochError,
+    ShardUnavailableError,
+)
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.recorder import get_recorder
 from ..obs.tracing import get_tracer
 from ..views import ShardPostingsFragment, ViewCatalog
 from ..views.zset import ZSet
-from .ring import TransferSlice
+from .ring import HashRing, TransferSlice, ring_op_of
 from .router import ShardRouter
 
 
@@ -391,6 +405,148 @@ class ShardReplica:
         }
 
 
+class ShardSet:
+    """A :class:`ShardRouter` plus the :class:`ShardReplica` s held in
+    this process: the replica (``version`` + ``apply``) a sharded tier
+    is fed through.
+
+    Args:
+        router: placement and stream position.
+        hold: shard ids whose replicas live here — ``None`` for every
+            shard of the ring, whatever it grows to; a tuple for exactly
+            those (``()``: routing only).
+
+    Attributes:
+        held: shard id -> the local replica.
+        last_flip: accounting of the last ring flip executed here.
+    """
+
+    def __init__(self, router: ShardRouter,
+                 hold: "tuple[int, ...] | None" = None) -> None:
+        self.router = router
+        self._hold = hold
+        self._check_hold()
+        self.held = {shard_id: ShardReplica(shard_id)
+                     for shard_id in range(router.num_shards)
+                     if self._holds(shard_id)}
+        self.last_flip: "dict | None" = None
+
+    @classmethod
+    def build(cls, head: OntologyStore, num_shards: int,
+              hold: "tuple[int, ...] | None" = None) -> "ShardSet":
+        """Fold a head store (snapshot + tail, already materialised)
+        into a fresh shard set at the head's stream version, on the
+        head's recorded ring (``num_shards`` is the ring to assume for a
+        stream that never recorded one).  Every process folds the *same*
+        head through the *same* deterministic router, so all agree on
+        ownership and ghost placement — and a fold at the head crosses
+        any number of ring-epoch flips in one step."""
+        ring = HashRing.from_op(head.ring) if head.ring is not None \
+            else HashRing(num_shards)
+        shards = cls(ShardRouter.from_ring(ring), hold)
+        shards._route(store_to_delta(head))
+        # The fold starts its own version line; realign the router with
+        # the stream so the tail recorded after the head applies.
+        shards.router.fast_forward(head.version)
+        return shards
+
+    @property
+    def version(self) -> int:
+        """Global delta-stream version routed so far."""
+        return self.router.version
+
+    @property
+    def replicas(self) -> "list[ShardReplica]":
+        return [self.held[shard_id] for shard_id in sorted(self.held)]
+
+    def _holds(self, shard_id: int) -> bool:
+        return self._hold is None or shard_id in self._hold
+
+    def _check_hold(self) -> None:
+        for shard_id in self._hold or ():
+            if shard_id >= self.router.num_shards:
+                raise ReproError(
+                    f"shard {shard_id} is not in the ring (epoch "
+                    f"{self.router.epoch} spans {self.router.num_shards} "
+                    f"shards)")
+
+    def apply(self, delta: OntologyDelta) -> bool:
+        """Route one global delta, under the same contract as
+        :meth:`OntologyStore.apply` (skip / gap error before any shard
+        is touched / apply); a ring-epoch record is executed instead of
+        split."""
+        if not DeltaGapError.check("shard set", self.router.version, delta):
+            return False
+        if ring_op_of(delta) is not None:
+            self._flip(delta)
+        else:
+            self._route(delta)
+        return True
+
+    def _route(self, delta: OntologyDelta) -> None:
+        for shard_id, sub in enumerate(self.router.split(delta)):
+            replica = self.held.get(shard_id)
+            if sub is None or replica is None:
+                continue  # routed for ownership bookkeeping only
+            try:
+                replica.apply(sub)
+            except Exception as exc:
+                # The router already advanced past this batch;
+                # like a single store's mid-replay failure (see
+                # OntologyStore.apply_delta), the cluster is now
+                # inconsistent and must be rebuilt, not retried.
+                raise OntologyError(
+                    f"shard {replica.shard_id} failed mid-refresh "
+                    f"({exc}); cluster replicas are inconsistent — "
+                    "rebuild from a snapshot plus a clean delta "
+                    "stream"
+                ) from exc
+
+    def _flip(self, delta: OntologyDelta) -> None:
+        """Execute one ring-epoch record on what is held here
+        (DESIGN.md §9): held -> held is a local :class:`TransferSlice`;
+        into a held shard from one that is not raises
+        :class:`~repro.errors.RingEpochError` (the state lives in
+        another process; a re-bootstrap crosses the flip with the full
+        store in hand); out of a held shard demotes; held shards beyond
+        the new ring are dropped."""
+        plan = self.router.apply_ring(delta)
+        ring = plan.ring
+        get_recorder().record("ring.epoch_flip", "cluster.shards",
+                              epoch=ring.epoch, num_shards=ring.num_shards,
+                              held=sorted(self.held))
+        self._check_hold()
+        sources = dict(self.held)
+        for shard_id in range(plan.old_num_shards, ring.num_shards):
+            if self._holds(shard_id):
+                self.held[shard_id] = ShardReplica(shard_id)
+        transfer_ops = 0
+        for (src, dst), node_ids in plan.by_pair():
+            dest = self.held.get(dst)
+            if dest is None:
+                continue
+            if src not in sources:
+                raise RingEpochError(
+                    f"ring epoch {ring.epoch} moves {len(node_ids)} node "
+                    f"records into shard {dst} from shard {src}, which is "
+                    f"not held here; re-bootstrap from snapshot + tail")
+            transfer = sources[src].transfer_slice(node_ids, ring.epoch, dst)
+            transfer_ops += dest.adopt_slice(transfer)["ops"]
+            self.router.note_materialized(
+                dst, [node.node_id for node in transfer.nodes] +
+                [ghost.node_id for ghost in transfer.ghosts])
+            self.router.sync_shard_version(dst, dest.store.version)
+        for shard_id, replica in sources.items():
+            if shard_id < ring.num_shards:
+                replica.demote(plan.moved_out_of(shard_id))
+            else:
+                del self.held[shard_id]
+        self.last_flip = {"epoch": ring.epoch,
+                          "num_shards": ring.num_shards,
+                          "moved_nodes": plan.moved_nodes,
+                          "transfer_ops": transfer_ops}
+
+
 class ShardedStoreView:
     """Read-only OntologyStore-compatible view over the shard set.
 
@@ -405,10 +561,7 @@ class ShardedStoreView:
     def __init__(self, router: ShardRouter,
                  replicas: "list[ShardReplica]",
                  registry: "MetricsRegistry | None" = None) -> None:
-        if router.num_shards != len(replicas):
-            raise OntologyError("router/replica shard counts disagree")
-        self._router = router
-        self._replicas = list(replicas)
+        self.reseat(router, replicas)
         registry = registry if registry is not None else get_registry()
         self._metrics = registry.scope("scatter")
         self._scatters = self._metrics.counter("scatters")

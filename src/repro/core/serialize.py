@@ -203,8 +203,7 @@ def store_to_dict(store: OntologyStore) -> dict:
             "type": e.edge_type.value,
             "weight": e.weight,
         }
-        for e in sorted(store.edges(),
-                        key=lambda e: (e.source, e.target, e.edge_type.value))
+        for e in store.edges()  # insertion order: see OntologyStore.edges
     ]
     out = {
         "format": STORE_FORMAT_VERSION,
@@ -327,8 +326,7 @@ def store_to_delta(store: OntologyStore, stage: str = "bootstrap"
                 loser_ops.append(op)
     ops.extend(winner_ops)
     ops.extend(loser_ops)
-    for edge in sorted(store.edges(),
-                       key=lambda e: (e.source, e.target, e.edge_type.value)):
+    for edge in store.edges():
         ops.append({"op": "edge", "source": edge.source,
                     "target": edge.target, "type": edge.edge_type.value,
                     "weight": edge.weight})

@@ -159,6 +159,12 @@ class OntologyStore:
         }
         self._out: dict[str, dict[tuple[str, EdgeType], Edge]] = defaultdict(dict)
         self._in: dict[str, dict[tuple[str, EdgeType], Edge]] = defaultdict(dict)
+        # (source, target, type) of every edge in first-insertion order,
+        # a correlate pair once in the direction first added.  Adjacency
+        # dicts iterate in this order restricted to one node, so a
+        # snapshot or fold that re-adds edges in it rebuilds the same
+        # successors()/predecessors() order a delta replay produces.
+        self._edge_order: dict[tuple[str, str, EdgeType], None] = {}
         self._counter = 0
         self._version = 0
         self._ring: "dict | None" = None
@@ -284,6 +290,20 @@ class OntologyStore:
                 f"expected {delta.version}"
             )
 
+    def apply(self, delta: OntologyDelta) -> bool:
+        """The replica protocol every delta consumer is fed through
+        (``version`` + ``apply``): a batch fully at or behind the store
+        is skipped (returns ``False`` — at-least-once delivery is
+        harmless); a gap, or a batch *straddling* the store's version
+        (its base behind, its end ahead: part of it is already folded
+        in, so it can be neither skipped nor replayed), raises
+        :class:`~repro.errors.DeltaGapError` before any op touches the
+        store; a contiguous one is replayed."""
+        if not DeltaGapError.check("replica", self._version, delta):
+            return False
+        self.apply_delta(delta)
+        return True
+
     def _record(self, op: dict) -> None:
         self._version += 1
         if self._recording is not None:
@@ -311,21 +331,16 @@ class OntologyStore:
         """Cold-start a store from a :meth:`compact` snapshot plus tail
         deltas.
 
-        Deltas *fully* at or behind the snapshot's version are skipped
-        (the tail may overlap the compacted prefix under at-least-once
-        delivery); the result is identical to replaying the full delta
-        stream.  A batch that *straddles* the store's version — its base
-        predates the snapshot but its end is ahead — can be neither
-        skipped nor replayed (part of it is already folded in), so it
-        raises :class:`~repro.errors.DeltaGapError` naming the
-        overlapping range before any op is applied.
+        The tail goes through :meth:`apply`, so it may overlap the
+        compacted prefix (at-least-once delivery) but not straddle the
+        snapshot's version; the result is identical to replaying the
+        full delta stream.
         """
         from .serialize import store_from_dict  # local: avoids import cycle
 
         store = store_from_dict(snapshot) if snapshot is not None else cls()
         for delta in deltas or ():
-            if DeltaGapError.check("bootstrap", store.version, delta):
-                store.apply_delta(delta)
+            store.apply(delta)
         return store
 
     # ------------------------------------------------------------------
@@ -497,6 +512,9 @@ class OntologyStore:
             mirror = Edge(target_id, source_id, edge_type, weight)
             self._out[target_id][(source_id, edge_type)] = mirror
             self._in[source_id][(target_id, edge_type)] = mirror
+        if edge_type != EdgeType.CORRELATE or \
+                (target_id, source_id, edge_type) not in self._edge_order:
+            self._edge_order.setdefault((source_id, target_id, edge_type))
         self._record({"op": "edge", "source": source_id, "target": target_id,
                       "type": edge_type.value, "weight": weight})
         return edge
@@ -505,20 +523,11 @@ class OntologyStore:
         return (target_id, edge_type) in self._out.get(source_id, {})
 
     def edges(self, edge_type: "EdgeType | None" = None) -> list[Edge]:
-        """All edges (correlate pairs reported once, canonical direction)."""
-        seen: set[tuple[str, str, EdgeType]] = set()
-        out: list[Edge] = []
-        for source, targets in self._out.items():
-            for (target, etype), edge in targets.items():
-                if edge_type is not None and etype != edge_type:
-                    continue
-                if etype == EdgeType.CORRELATE:
-                    key = (min(source, target), max(source, target), etype)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                out.append(edge)
-        return out
+        """All edges in insertion order (correlate pairs reported once,
+        in the direction first added)."""
+        return [self._out[source][(target, etype)]
+                for source, target, etype in self._edge_order
+                if edge_type is None or etype == edge_type]
 
     def out_edges(self, node_id: str) -> list[Edge]:
         """Outgoing edges of ``node_id`` in insertion order (correlate

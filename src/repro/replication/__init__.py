@@ -21,8 +21,8 @@ snapshot plus a contiguous delta suffix.
   the :mod:`repro.serving.rpc` length-prefixed framing (plus
   :class:`PublisherThread` to run it next to a builder);
 * :mod:`repro.replication.follower` — :class:`LogFollower`: bootstraps
-  an :class:`~repro.core.store.OntologyStore` from catalog snapshot +
-  log tail and keeps it current, recovering from
+  a replica (a store, a shard set, a serving tier) from catalog
+  snapshot + log tail and keeps it current, recovering from
   :class:`~repro.errors.DeltaGapError` (a GC'd prefix) by
   re-bootstrapping; :class:`SyncLogClient` / :class:`LocalLogClient`
   are the blocking transports behind it.

@@ -1,31 +1,31 @@
 """LogFollower: snapshot-plus-tail recovery over a published delta log.
 
-A follower holds an :class:`~repro.core.store.OntologyStore` replica
-whose state always equals *snapshot + contiguous delta suffix* — the
-invariant incremental view-maintenance systems assume.  It is fed
-through a small client interface with two implementations:
+Every process that consumes the log runs one :class:`LogFollower`
+(DESIGN.md §8 "Log shipping" lists them): the only code that bootstraps
+from ``latest_snapshot()`` + ``fetch(tail)`` (through
+:meth:`OntologyStore.bootstrap`), polls or long-polls for new batches,
+turns a :class:`~repro.errors.DeltaGapError` into a rebuild, and
+confirms the applied position to the publisher's segment-GC floor.  What
+it feeds is a *replica* — anything with ``version`` and ``apply(delta)
+-> bool``, built from the bootstrapped head store (by default the head
+store itself) — whose state therefore always equals *snapshot +
+contiguous delta suffix*, the invariant incremental view maintenance
+assumes.  A rebuild *replaces* the replica object, which is why
+consumers reach it through :attr:`LogFollower.replica` rather than
+holding the reference.
 
-* :class:`SyncLogClient` — a blocking TCP client for
-  :class:`~repro.replication.publisher.LogPublisher` (length-prefixed
-  JSON frames, the :mod:`repro.serving.rpc` wire layout); used by shard
-  worker processes and standalone serving replicas;
-* :class:`LocalLogClient` — the same interface served directly off
-  in-process :class:`~repro.replication.log.DeltaLog` /
-  :class:`~repro.replication.catalog.SnapshotCatalog` objects (the CLI's
-  ``serve --from-log`` path, tests).
-
-``bootstrap()`` cold-starts from the newest catalog snapshot plus the
-log tail; ``poll()`` keeps the store current.  When the follower has
-fallen behind the log's garbage-collected prefix, the fetch (or the
-apply) raises :class:`~repro.errors.DeltaGapError`; ``poll()`` recovers
-by re-bootstrapping from the newest snapshot — the follower's store
-object is *replaced*, which is why consumers reach it through
-:attr:`store` rather than holding the reference.
+The log is read through a small client interface:
+:class:`SyncLogClient`, a blocking TCP client for
+:class:`~repro.replication.publisher.LogPublisher` (the
+:mod:`repro.serving.rpc` envelope), and :class:`LocalLogClient`, the
+same reads served off in-process :class:`~repro.replication.log.DeltaLog`
+/ :class:`~repro.replication.catalog.SnapshotCatalog` objects.
 """
 
 from __future__ import annotations
 
 import base64
+import time
 
 from ..core.serialize import delta_from_dict
 from ..core.store import OntologyDelta, OntologyStore
@@ -100,15 +100,8 @@ class SyncLogClient:
     def latest_snapshot(self) -> "tuple[dict | None, int]":
         """Newest snapshot + version for bootstrap.  Advertises columnar
         acceptance so a publisher with columnar segments ships the packed
-        bytes (decoded — and checksum-verified — here); an old publisher
-        rejects the unknown ``accept`` kwarg, so the client retries the
-        plain form and gets the decoded-JSON snapshot instead."""
-        try:
-            result = self._rpc.call("log_snapshot", accept=["columnar"])
-        except DeltaGapError:
-            raise
-        except ReproError:
-            result = self._rpc.call("log_snapshot")
+        bytes (decoded — and checksum-verified — here)."""
+        result = self._rpc.call("log_snapshot", accept=["columnar"])
         if result.get("format") == "columnar" \
                 and result.get("segment") is not None:
             from ..core.columnar import decode_store_segment
@@ -136,22 +129,16 @@ class SyncLogClient:
 
 
 class LocalLogClient:
-    """The client interface served directly off in-process objects."""
+    """The read half of the client interface served directly off
+    in-process objects (a reader that shares the builder's log has no
+    GC floor to pin, hence no follower id)."""
+
+    follower_id = None
 
     def __init__(self, log: DeltaLog,
-                 catalog: "SnapshotCatalog | None" = None,
-                 follower_id: "str | None" = None) -> None:
+                 catalog: "SnapshotCatalog | None" = None) -> None:
         self._log = log
         self._catalog = catalog
-        # Interface parity with SyncLogClient; an in-process reader
-        # shares the builder's log, so there is no GC floor to pin.
-        self.follower_id = follower_id
-
-    def register(self, since: int = 0) -> None:
-        """No-op twin of :meth:`SyncLogClient.register`."""
-
-    def forget(self, follower_id: str) -> None:
-        """No-op twin of :meth:`SyncLogClient.forget`."""
 
     def fetch(self, since: int = 0,
               max_count: "int | None" = None) -> "list[OntologyDelta]":
@@ -160,8 +147,6 @@ class LocalLogClient:
     def wait(self, since: int = 0, timeout: float = 10.0,
              max_count: "int | None" = None) -> "list[OntologyDelta]":
         # In-process there is no separate producer to wait on.
-        if self._log.last_version <= since:
-            return []
         return self.fetch(since, max_count=max_count)
 
     def latest_snapshot(self) -> "tuple[dict | None, int]":
@@ -169,83 +154,112 @@ class LocalLogClient:
             return None, 0
         return self._catalog.latest()
 
-    def status(self) -> dict:
-        status = {"log": self._log.describe()}
-        if self._catalog is not None:
-            status["catalog"] = self._catalog.describe()
-        return status
 
-    def close(self) -> None:  # interface parity with SyncLogClient
-        pass
+#: One long-poll slice, and when to give up, in :meth:`LogFollower.catch_up`.
+_CATCH_UP_WAIT_SECONDS = 2.0
+_CATCH_UP_MAX_SECONDS = 120.0
 
 
 class LogFollower:
-    """An :class:`OntologyStore` replica fed from a published log.
+    """A replica fed from a published log.
+
+    Args:
+        client: a :class:`SyncLogClient` or :class:`LocalLogClient`.
+        build: ``build(head) -> replica`` turning the bootstrapped head
+            :class:`OntologyStore` into what this follower feeds;
+            ``None`` feeds the head store itself.
 
     Attributes:
-        bootstraps: times a store was (re)built from snapshot + tail.
+        replica: what is being fed (``None`` until :meth:`bootstrap` or
+            :meth:`seat`).
+        bootstraps: times the replica was (re)built from snapshot + tail.
         recoveries: times a :class:`DeltaGapError` forced a re-bootstrap
             (the follower had fallen behind the GC'd prefix).
         deltas_applied: tail batches applied across the follower's life.
     """
 
-    def __init__(self, client) -> None:
+    def __init__(self, client, build=None) -> None:
         self._client = client
-        self._store: "OntologyStore | None" = None
+        self._build = build
+        self.replica = None
         self.bootstraps = 0
         self.recoveries = 0
         self.deltas_applied = 0
 
-    # ------------------------------------------------------------------
-    @property
-    def store(self) -> OntologyStore:
-        if self._store is None:
-            self.bootstrap()
-        return self._store
-
     @property
     def version(self) -> int:
-        return self.store.version
+        return self.replica.version
 
     # ------------------------------------------------------------------
-    def bootstrap(self) -> OntologyStore:
+    def bootstrap(self):
         """(Re)build the replica from catalog snapshot + log tail."""
         snapshot, version = self._client.latest_snapshot()
         tail = self._client.fetch(version if snapshot is not None else 0)
-        self._store = OntologyStore.bootstrap(snapshot, tail)
+        head = OntologyStore.bootstrap(snapshot, tail)
         self.bootstraps += 1
         self.deltas_applied += len(tail)
-        return self._store
+        return self.seat(self._build(head) if self._build else head)
 
-    def poll(self, timeout: float = 0.0) -> int:
+    def seat(self, replica):
+        """Adopt ``replica`` as the state to feed from its version on (a
+        bootstrap's result, or state transferred at a pinned version —
+        a rebalance-seeded shard), and pin the GC floor there."""
+        self.replica = replica
+        self._confirm()
+        return replica
+
+    def _confirm(self) -> None:
+        """A follower's pinned position is the ``since`` of its last
+        fetch, which trails the version it just applied by one batch;
+        confirm the applied position so the segment-GC floor reflects
+        reality."""
+        if self._client.follower_id is not None:
+            self._client.register(self.replica.version)
+
+    def poll(self, timeout: float = 0.0, upto: "int | None" = None) -> int:
         """Apply new batches; returns how many were applied this call
         (including a recovery re-bootstrap's tail).
 
-        With ``timeout > 0`` the fetch long-polls (subscribe semantics).
-        A :class:`DeltaGapError` from the fetch or the apply — the log's
-        retained prefix moved past this follower — triggers recovery by
+        With ``timeout > 0`` the fetch long-polls (subscribe semantics);
+        with ``upto`` batches ending past that version stay in the log
+        for a later poll.  A :class:`DeltaGapError` from the fetch or
+        the apply — the log's retained prefix moved past this follower,
+        or a ring flip it cannot absorb — triggers recovery by
         re-bootstrapping from the newest snapshot.
         """
-        if self._store is None:
+        if self.replica is None:
             self.bootstrap()
             return 0
         before = self.deltas_applied
         try:
             if timeout > 0:
-                deltas = self._client.wait(self._store.version,
+                deltas = self._client.wait(self.replica.version,
                                            timeout=timeout)
             else:
-                deltas = self._client.fetch(self._store.version)
+                deltas = self._client.fetch(self.replica.version)
             for delta in deltas:
-                if not DeltaGapError.check("follower", self._store.version,
-                                           delta):
-                    continue
-                self._store.apply_delta(delta)
-                self.deltas_applied += 1
+                if upto is not None and delta.version > upto:
+                    break
+                if self.replica.apply(delta):
+                    self.deltas_applied += 1
         except DeltaGapError as exc:
             self.recoveries += 1
             get_recorder().record(
-                "replication.gap_rebootstrap", "replication.follower",
-                version=self._store.version, error=str(exc))
+                "replication.gap_rebootstrap",
+                self._client.follower_id or "replication.follower",
+                version=self.replica.version, error=str(exc))
             self.bootstrap()
+        if self.deltas_applied > before:
+            self._confirm()
         return self.deltas_applied - before
+
+    def catch_up(self, target: int) -> None:
+        """Long-poll until the replica reaches ``target`` (a version the
+        caller knows the log holds)."""
+        deadline = time.monotonic() + _CATCH_UP_MAX_SECONDS
+        while self.replica.version < target:
+            if time.monotonic() > deadline:
+                raise ReproError(
+                    f"follower {self._client.follower_id} could not catch "
+                    f"up to version {target} (at {self.replica.version})")
+            self.poll(timeout=_CATCH_UP_WAIT_SECONDS)

@@ -38,7 +38,7 @@ from ..apps.tagging import DocumentTagger, TaggedDocument
 from ..core.ontology import AttentionOntology, NodeType
 from ..core.store import EdgeType, OntologyDelta, OntologyStore
 from ..core.zsets import delta_to_zsets
-from ..errors import DeltaGapError, ReproError
+from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..views import (
     PostingsStoreAdapter,
@@ -150,29 +150,31 @@ class OntologyService:
     def refresh(self, deltas: "Iterable[OntologyDelta]") -> int:
         """Apply pipeline update batches; returns how many were applied.
 
-        Deltas already behind the replica's version are skipped (an
-        at-least-once delivery of the same day's batches is harmless);
-        a delta from the future raises :class:`DeltaGapError` *before*
-        any of its ops touch the store, signalling a gap in the stream,
-        and so does a batch *straddling* the replica's version (base
-        behind, end ahead — e.g. a tail whose base predates the snapshot
-        the replica bootstrapped from), naming the already-applied
-        overlap.  Each delta is therefore either fully applied or
-        cleanly rejected — contiguous prefixes applied earlier in the
-        same call remain valid and the missing range can be
-        re-delivered.
+        Each delta is either fully applied, skipped as already applied,
+        or cleanly rejected with :class:`~repro.errors.DeltaGapError`
+        (the contract of :meth:`OntologyStore.apply`) — contiguous
+        prefixes applied earlier in the same call remain valid and the
+        missing range can be re-delivered.
         """
-        applied = 0
-        for delta in deltas:
-            if DeltaGapError.check("replica", self._store.version, delta):
-                self._store.apply_delta(delta)
-                applied += 1
-                self._deltas_applied.inc()
-            # Fold even store-skipped deltas: the catalog keeps its own
-            # version line (a shared-store deployment may have applied
-            # the delta to the store out-of-band already).
-            self.fold_views(delta)
+        return sum(self.apply(delta) for delta in deltas)
+
+    def apply(self, delta: OntologyDelta) -> bool:
+        """Advance this tier by one delta — with :attr:`version`, the
+        replica protocol a :class:`~repro.replication.follower.
+        LogFollower` feeds.  Returns whether the backing state took it."""
+        applied = self._advance(delta)
+        if applied:
+            self._deltas_applied.inc()
+        # Fold even skipped deltas: the catalog keeps its own version
+        # line (a shared-store deployment may have applied the delta to
+        # the store out-of-band already).
+        self.fold_views(delta)
         return applied
+
+    def _advance(self, delta: OntologyDelta) -> bool:
+        """The per-tier half of :meth:`apply`: move the backing state
+        (here the store; a sharded front moves its shard set)."""
+        return self._store.apply(delta)
 
     # ------------------------------------------------------------------
     # maintained views
@@ -201,12 +203,6 @@ class OntologyService:
         self._views.advance(delta_to_zsets(delta), version=delta.version)
         self._purge_superseded()
         return "applied"
-
-    def fast_forward_views(self, version: int) -> None:
-        """Adopt ``version`` on the catalog without folding — for owners
-        that hydrate the store out-of-band (cluster bootstrap) while the
-        views were rebuilt from the hydrated store."""
-        self._views.rehydrate(version, count=False)
 
     def _sync_views(self) -> None:
         """Repair the catalog before a view-backed read if it missed

@@ -96,6 +96,67 @@ def test_only_rpc_module_touches_frames_and_envelopes():
     assert not offenders, offenders
 
 
+_ENDPOINTS = {"tag_documents", "interpret_queries", "neighborhood",
+              "concepts_of_entity", "record_read", "user_interests",
+              "recommend_for_user", "track_events", "follow_ups"}
+
+
+def _follower_work(path: pathlib.Path) -> "list[str]":
+    """Calls that bootstrap from a snapshot or record a gap recovery."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        gap_event = node.func.attr == "record" and node.args and \
+            getattr(node.args[0], "value", None) == \
+            "replication.gap_rebootstrap"
+        if node.func.attr == "latest_snapshot" or gap_event:
+            found.append(f"{path.name}:{node.lineno} {node.func.attr}")
+    return found
+
+
+def test_only_the_follower_bootstraps_and_recovers():
+    """Structure guard: one follower.  Snapshot-plus-tail bootstrap and
+    DeltaGapError -> re-bootstrap live in ``LogFollower``; a module that
+    calls ``latest_snapshot()`` or records the gap event itself is a
+    second hand-rolled catch-up loop."""
+    src = _repo_root() / "src" / "repro"
+    follower = src / "replication" / "follower.py"
+    assert len(_follower_work(follower)) == 2
+    offenders = [call for path in sorted(src.rglob("*.py"))
+                 if path != follower for call in _follower_work(path)]
+    assert not offenders, offenders
+
+
+def test_only_the_service_declares_the_serving_endpoints():
+    """Structure guard: one façade.  A class defining several of the
+    nine endpoint names outside ``serving/service.py`` (the sync tiers,
+    by inheritance) and ``serving/aio.py`` (the awaitable twin) is a
+    forwarding front; the cluster modules define none at all, and hold
+    no inner ``_service``."""
+    src = _repo_root() / "src" / "repro"
+    facades = {src / "serving" / "service.py", src / "serving" / "aio.py"}
+    fronts = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if path not in facades and isinstance(node, ast.ClassDef):
+                names = _ENDPOINTS & {item.name for item in node.body
+                                      if isinstance(item, ast.FunctionDef)}
+                if len(names) > 1:
+                    fronts.append(f"{path.name}:{node.name} {sorted(names)}")
+        if path.parent.name == "cluster":
+            own = {node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)}
+            if path.name in ("service.py", "remote.py"):
+                assert not own & _ENDPOINTS, (path.name, own & _ENDPOINTS)
+            assert not any(isinstance(node, ast.Attribute)
+                           and node.attr == "_service"
+                           for node in ast.walk(tree)), path.name
+    assert not fronts, fronts
+
+
 def test_version_string():
     import repro
 

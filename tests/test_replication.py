@@ -12,8 +12,9 @@ import pathlib
 
 import pytest
 
-from repro.cluster import ClusterService, RemoteClusterService
+from repro.cluster import ClusterService, RemoteClusterService, ShardSet
 from repro.core.ontology import AttentionOntology, EdgeType, NodeType
+from repro.core.serialize import store_to_dict
 from repro.core.store import OntologyDelta, OntologyStore
 from repro.errors import DeltaGapError, OntologyError
 from repro.replication import (
@@ -393,24 +394,71 @@ class TestSnapshotCatalog:
 # ----------------------------------------------------------------------
 # publisher + follower (log shipping over the wire)
 # ----------------------------------------------------------------------
+#: What a LogFollower feeds, as its ``build(head)``: the head store
+#: itself, a worker's one-shard set, a remote parent's routing-only set.
+REPLICA_KINDS = {
+    "store": None,
+    "one-shard": lambda head: ShardSet.build(head, 2, (1,)),
+    "routing-only": lambda head: ShardSet.build(head, 2, ()),
+}
+
+
+def _state(replica) -> bytes:
+    """Everything a replica serves, canonically."""
+    if isinstance(replica, OntologyStore):
+        return dumps(store_to_dict(replica))
+    routing = replica.router.export_state()
+    del routing["shard_versions"]  # a fold and a replay count ops apart
+    shards = [[shard.shard_id, shard.ghost_count,
+               [[node_id, shard.node(node_id),
+                 shard.successor_ids(node_id),
+                 shard.predecessor_ids(node_id)]
+                for node_id in sorted(shard.owned_ids())]]
+              for shard in replica.replicas]
+    return dumps([routing, shards])
+
+
+def _replayed(kind: str, deltas) -> bytes:
+    """The state of a ``kind`` replica fed ``deltas`` from version 0."""
+    build = REPLICA_KINDS[kind]
+    replica = OntologyStore() if build is None else build(OntologyStore())
+    for delta in deltas:
+        assert replica.apply(delta)
+    return _state(replica)
+
+
+def over_replica_kinds(case):
+    """Run one follower case per replica kind, each on its own log
+    directory — the kind is one more input to the same test."""
+    def test(self, producer_and_deltas, log_dir):
+        for kind in REPLICA_KINDS:
+            case(self, producer_and_deltas, log_dir / kind, kind)
+    test.__name__, test.__doc__ = case.__name__, case.__doc__
+    return test
+
+
 class TestPublisherFollower:
+    @over_replica_kinds
     def test_local_follower_snapshot_plus_tail(self, producer_and_deltas,
-                                               log_dir):
+                                               log_dir, kind):
         producer, deltas = producer_and_deltas
         log = DeltaLog(log_dir)
         log.extend(deltas[:2])
         catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
         catalog.record(OntologyStore.bootstrap(None, deltas[:2]))
         log.append(deltas[2])
-        follower = LogFollower(LocalLogClient(log, catalog))
+        follower = LogFollower(LocalLogClient(log, catalog),
+                               REPLICA_KINDS[kind])
         follower.bootstrap()
-        assert follower.store.stats() == producer.stats()
+        assert _state(follower.replica) == _replayed(kind, deltas)
         assert follower.version == producer.version
         assert follower.poll() == 0  # already current
+        assert (follower.bootstraps, follower.recoveries) == (1, 0)
 
+    @over_replica_kinds
     def test_socket_follower_bootstrap_poll_and_wait(self,
                                                      producer_and_deltas,
-                                                     log_dir):
+                                                     log_dir, kind):
         producer, deltas = producer_and_deltas
         log = DeltaLog(log_dir)
         log.extend(deltas[:2])
@@ -419,20 +467,22 @@ class TestPublisherFollower:
         with PublisherThread(log, catalog) as publisher:
             host, port = publisher.address
             with SyncLogClient.connect(host, port) as client:
-                follower = LogFollower(client)
+                follower = LogFollower(client, REPLICA_KINDS[kind])
                 follower.bootstrap()
-                assert follower.store.stats() == \
-                    OntologyStore.bootstrap(None, deltas[:2]).stats()
+                assert _state(follower.replica) == \
+                    _replayed(kind, deltas[:2])
                 publisher.publish([deltas[2]])
                 assert follower.poll(timeout=5.0) == 1
-                assert follower.store.stats() == producer.stats()
+                assert _state(follower.replica) == _replayed(kind, deltas)
+                assert (follower.bootstraps, follower.recoveries) == (1, 0)
                 status = client.status()
                 assert status["log"]["last_version"] == producer.version
                 assert status["catalog"]["latest_version"] == \
                     deltas[1].version
 
+    @over_replica_kinds
     def test_follower_recovers_from_gc_gap(self, producer_and_deltas,
-                                           log_dir):
+                                           log_dir, kind):
         """A follower that fell behind the GC'd prefix hits
         DeltaGapError on fetch and recovers by re-bootstrapping from the
         newest snapshot."""
@@ -443,7 +493,7 @@ class TestPublisherFollower:
         with PublisherThread(log, catalog) as publisher:
             host, port = publisher.address
             with SyncLogClient.connect(host, port) as client:
-                follower = LogFollower(client)
+                follower = LogFollower(client, REPLICA_KINDS[kind])
                 follower.bootstrap()  # full replay: no snapshot yet
                 assert follower.version == deltas[0].version
                 # The log moves on and compacts past the follower.
@@ -455,7 +505,7 @@ class TestPublisherFollower:
                 assert follower.recoveries == 1
                 assert follower.bootstraps == 2
                 assert applied >= 0
-                assert follower.store.stats() == producer.stats()
+                assert _state(follower.replica) == _replayed(kind, deltas)
                 assert follower.version == producer.version
 
     def test_fetch_behind_gc_raises_gap(self, producer_and_deltas, log_dir):
@@ -479,9 +529,10 @@ class TestPublisherFollower:
             with SyncLogClient.connect(host, port) as client:
                 assert client.wait(log.last_version, timeout=0.2) == []
 
+    @over_replica_kinds
     def test_registered_follower_delays_segment_gc(self,
                                                    producer_and_deltas,
-                                                   log_dir):
+                                                   log_dir, kind):
         """Satellite regression (ROADMAP "publisher-side follower
         offsets"): a *registered* follower's position is a GC floor —
         compaction keeps the segments it still needs, so it catches up
@@ -496,8 +547,8 @@ class TestPublisherFollower:
             host, port = publisher.address
             with SyncLogClient.connect(host, port,
                                        follower_id="slow") as client:
-                follower = LogFollower(client)
-                follower.bootstrap()  # fetch(0) registers position 0
+                follower = LogFollower(client, REPLICA_KINDS[kind])
+                follower.bootstrap()  # ...and confirms where it landed
                 assert follower.version == deltas[0].version
                 # The log moves on and compacts past the follower...
                 publisher.publish(deltas[1:])
@@ -505,14 +556,13 @@ class TestPublisherFollower:
                     OntologyStore.bootstrap(None, deltas)))
                 # ...but the folded segments the follower still needs
                 # survive: the GC floor held them back.
-                assert log.first_version == 0
+                assert log.first_version <= deltas[0].version
                 assert follower.poll() > 0
                 assert follower.recoveries == 0  # caught up from the log
                 assert follower.bootstraps == 1  # no snapshot fallback
-                assert follower.store.stats() == producer.stats()
-                # One more poll reports the head position to the
-                # publisher; the idempotent re-record now completes the
-                # delayed GC.
+                assert _state(follower.replica) == _replayed(kind, deltas)
+                # The poll confirmed the head position to the publisher;
+                # the idempotent re-record now completes the delayed GC.
                 assert follower.poll() == 0
                 publisher.call(lambda: catalog.record(
                     OntologyStore.bootstrap(None, deltas)))
@@ -523,9 +573,10 @@ class TestPublisherFollower:
             assert publisher.call(
                 lambda: publisher._publisher.follower_floor()) is None
 
+    @over_replica_kinds
     def test_unregistered_follower_still_rebootstraps(self,
                                                       producer_and_deltas,
-                                                      log_dir):
+                                                      log_dir, kind):
         """Without a follower_id nothing delays GC — the pre-offsets
         behavior (snapshot re-bootstrap on gap) still stands."""
         producer, deltas = producer_and_deltas
@@ -535,15 +586,15 @@ class TestPublisherFollower:
         with PublisherThread(log, catalog) as publisher:
             host, port = publisher.address
             with SyncLogClient.connect(host, port) as client:
-                follower = LogFollower(client)
+                follower = LogFollower(client, REPLICA_KINDS[kind])
                 follower.bootstrap()
                 publisher.publish(deltas[1:])
                 publisher.call(lambda: catalog.record(
                     OntologyStore.bootstrap(None, deltas)))
                 assert log.first_version > deltas[0].version  # GC ran
                 follower.poll()
-                assert follower.recoveries == 1
-                assert follower.store.stats() == producer.stats()
+                assert (follower.bootstraps, follower.recoveries) == (2, 1)
+                assert _state(follower.replica) == _replayed(kind, deltas)
 
     def test_follower_lag_gauges_reflect_induced_lag(self,
                                                      producer_and_deltas,

@@ -22,6 +22,8 @@ from repro.core.serialize import (
     ontology_to_dict,
     save_ontology,
     save_store_columnar,
+    store_from_dict,
+    store_to_delta,
     store_to_dict,
 )
 from repro.core.store import OntologyStore
@@ -199,6 +201,39 @@ class TestColumnarSegments:
         with pytest.raises(SegmentIntegrityError,
                            match="checksum mismatch"):
             decode_store_segment(bytes(corrupt))
+
+
+def _adjacency(store: OntologyStore) -> bytes:
+    return dumps([[node.node_id, store.successors(node.node_id),
+                   store.predecessors(node.node_id)]
+                  for node in store.nodes()])
+
+
+class TestAdjacencyOrder:
+    def test_every_bootstrap_form_keeps_insertion_order(self):
+        """Regression (bench/README "Anomalies" (a)): successors() /
+        predecessors() iterate in edge insertion order, so a replica
+        rebuilt from a JSON snapshot, a columnar segment or a fold delta
+        must list them exactly as one that replayed the stream."""
+        onto = AttentionOntology()
+        onto.begin_delta("edges")
+        a, b, c, d = (onto.add_node(NodeType.CONCEPT, phrase).node_id
+                      for phrase in "abcd")
+        onto.add_edge(a, d, EdgeType.ISA)
+        onto.add_edge(b, c, EdgeType.ISA)
+        onto.add_edge(a, b, EdgeType.CORRELATE)
+        replayed = OntologyStore.bootstrap(None, [onto.store.commit_delta()])
+        assert [n.node_id for n in replayed.successors(b)] == [c, a]
+        for store in [replayed] + [_random_store(seed) for seed in range(12)]:
+            snapshot = store_to_dict(store)
+            forms = {
+                "json": store_from_dict(json.loads(json.dumps(snapshot))),
+                "columnar": store_from_dict(
+                    decode_store_segment(encode_store_segment(snapshot))),
+                "fold": OntologyStore.bootstrap(None, [store_to_delta(store)]),
+            }
+            for name, rebuilt in forms.items():
+                assert _adjacency(rebuilt) == _adjacency(store), name
 
 
 class TestConceptCorrelate:

@@ -35,7 +35,7 @@ class _ViewReplay(_Replay):
     def check_views(self, step: int, kind: str) -> None:
         where = f"after op {step} ({kind}) at version {self.cluster.version}"
         for label, service in (("single", self.single),
-                               ("cluster", self.cluster._service)):
+                               ("cluster", self.cluster)):
             for name, view in service.views.items():
                 assert dumps(view.materialized()) == \
                     dumps(view.recompute()), \
