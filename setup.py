@@ -26,7 +26,8 @@ setup(
     package_dir={"": "src"},
     python_requires=">=3.10",
     install_requires=["numpy"],
-    extras_require={"test": ["pytest", "pytest-benchmark"]},
+    extras_require={"test": ["pytest", "pytest-benchmark", "pytest-timeout",
+                             "hypothesis"]},
     classifiers=[
         "Programming Language :: Python :: 3",
         "Topic :: Scientific/Engineering :: Artificial Intelligence",

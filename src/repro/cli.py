@@ -93,9 +93,8 @@ def _build(args: argparse.Namespace) -> int:
                           segment_max_bytes=args.log_segment_bytes,
                           fsync=args.fsync) as log:
                 appended = log.extend(pipeline.deltas)
-                catalog = SnapshotCatalog(
-                    log, compact_bytes=args.compact_bytes,
-                    snapshot_format=args.snapshot_format)
+                catalog = SnapshotCatalog(log,
+                                          compact_bytes=args.compact_bytes)
                 compacted = catalog.maybe_compact(ontology.store)
                 print(f"log {args.log_dir}: +{appended} deltas, versions "
                       f"{log.first_version}..{log.last_version} in "
@@ -334,8 +333,7 @@ def _serve_rpc(backend, host: str, port: int,
     return 0
 
 
-def _load_from_log(log_dir: str, readonly: bool = True,
-                   snapshot_format: str = "json"):
+def _load_from_log(log_dir: str, readonly: bool = True):
     """Bootstrap a serving ontology (and NER) from a delta log directory
     via snapshot + tail (a :class:`LogFollower` over the in-process
     log); returns (ontology, ner, log, catalog).
@@ -355,8 +353,7 @@ def _load_from_log(log_dir: str, readonly: bool = True,
     )
 
     log = DeltaLog(log_dir, readonly=readonly)
-    catalog = SnapshotCatalog(log, readonly=readonly,
-                              snapshot_format=snapshot_format)
+    catalog = SnapshotCatalog(log, readonly=readonly)
     store = LogFollower(LocalLogClient(log, catalog)).bootstrap()
     print(f"log {log_dir}: versions {log.first_version}.."
           f"{log.last_version}, snapshot at v{catalog.latest_version}; "
@@ -439,8 +436,7 @@ def _serve(args: argparse.Namespace) -> int:
         # the directory); every other path stays read-only.
         writable = bool(args.remote_shards and args.rebalance_to)
         ontology, ner, log, catalog = _load_from_log(
-            args.from_log, readonly=not writable,
-            snapshot_format=args.snapshot_format)
+            args.from_log, readonly=not writable)
     else:
         ontology, ner = _load_with_ner(args.ontology)
 
@@ -689,11 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--fsync", action="store_true",
                          help="fsync every log append (power-loss "
                               "durability)")
-    p_build.add_argument("--snapshot-format", choices=["json", "columnar"],
-                         default="json",
-                         help="encoding for --log-dir catalog snapshots: "
-                              "human-inspectable JSON (default) or packed "
-                              "columnar segments")
     p_build.set_defaults(func=_build)
 
     p_stats = sub.add_parser(
@@ -778,11 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shard-read response encoding for "
                               "--remote-shards workers: JSON (default) or "
                               "negotiated packed-binary frames "
-                              "(byte-identical results, lower codec cost)")
-    p_serve.add_argument("--snapshot-format", choices=["json", "columnar"],
-                         default="json",
-                         help="encoding for any snapshot this process "
-                              "records to the --from-log catalog")
+                              "(byte-identical results; measured slower "
+                              "to encode and decode than JSON)")
     p_serve.add_argument("--trace-dir", default="",
                          help="append request spans to JSON-lines logs "
                               "in this directory (the whole process "

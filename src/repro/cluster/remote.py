@@ -286,8 +286,11 @@ class RemoteClusterService(ShardedFront):
         wire: ``"json"`` (default) or ``"binary"`` — the shard-read
             response encoding each proxy negotiates with its worker
             (:mod:`repro.serving.rpc` packed binary frames).  Results
-            are byte-identical either way; binary cuts the scatter
-            paths' encode/decode cost.
+            are byte-identical either way.  Binary is not the faster
+            codec: on the bench world (``bench/run.py --workload
+            rpc_mixed_single --trace 1``, seeds 1-3, 2 cores) a binary
+            reply took 45-57 us to encode and 33-43 us to decode,
+            against 40-49 us and 20-26 us for JSON.
         trace_dir: span-log directory handed to every spawned worker
             (workers also inherit ``REPRO_TRACE_DIR`` from the
             environment; the explicit argument wins).

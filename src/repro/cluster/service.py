@@ -14,7 +14,10 @@ same stream version (the cluster tests assert this), while storage,
 inverted indexes and candidate generation are partitioned N ways.
 
 :class:`ClusterService` is the in-process front: it holds every shard,
-and deltas are handed straight to :meth:`~ShardedFront.refresh`.  Since
+and deltas are handed straight to :meth:`~ShardedFront.refresh`.  It
+comes up empty, from a delta stream, or from a head store folded through
+the router — a snapshot plus tail is
+``ontology=OntologyStore.bootstrap(snapshot, tail)``.  Since
 the consistent-hash ring (DESIGN.md §9) the partition is not frozen:
 :meth:`ClusterService.rebalance` grows or shrinks the shard set live by
 applying a ring-epoch record — moved node records stream between shards
@@ -28,7 +31,6 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from ..core.ontology import AttentionOntology
-from ..core.serialize import store_from_dict
 from ..core.store import OntologyDelta, OntologyStore
 from ..errors import OntologyError
 from ..obs.metrics import MetricsRegistry, get_registry
@@ -109,13 +111,7 @@ class ClusterService(ShardedFront):
         ontology: optional existing :class:`AttentionOntology` (or bare
             store) to shard: its head state is folded through the router
             and the cluster comes up at the store's version.  Mutually
-            exclusive with ``deltas``.
-        snapshot: the same head state as an :meth:`OntologyStore.compact`
-            dump (:meth:`bootstrap`), so ``deltas`` may then be the
-            *tail* recorded after the snapshot — the cluster-side
-            bootstrap protocol, mirroring
-            :meth:`OntologyStore.bootstrap`.  Mutually exclusive with
-            ``ontology``.  Either way a head recording a ring epoch is
+            exclusive with ``deltas``.  A head recording a ring epoch is
             authoritative: the cluster comes up on that ring, whatever
             ``num_shards`` says.
         registry: metrics registry shared by the serving scope, the
@@ -129,7 +125,6 @@ class ClusterService(ShardedFront):
                  cache_size: int = 4096,
                  deltas: "Iterable[OntologyDelta] | None" = None,
                  ontology: "AttentionOntology | OntologyStore | None" = None,
-                 snapshot: "dict | None" = None,
                  registry: "MetricsRegistry | None" = None) -> None:
         registry = registry if registry is not None else get_registry()
         shards = ShardSet(ShardRouter(num_shards))
@@ -148,29 +143,11 @@ class ClusterService(ShardedFront):
                 "both — the ontology is head state, not a version to "
                 "replay a recorded stream onto"
             )
-        if ontology is not None and snapshot is not None:
-            raise OntologyError(
-                "pass either a snapshot to bootstrap from or an ontology "
-                "to fold, not both"
-            )
-        if snapshot is not None:
-            self.bootstrap(snapshot)
         if ontology is not None:
             self._seat(ontology.store if isinstance(
                 ontology, AttentionOntology) else ontology)
         if deltas is not None:
             self.refresh(deltas)
-
-    def bootstrap(self, snapshot: dict) -> None:
-        """Cold-start the shards from an :meth:`OntologyStore.compact`
-        dump (:meth:`ShardSet.build`), so the tail recorded after the
-        snapshot applies through :meth:`refresh`."""
-        if self._router.version or len(self._router):
-            raise OntologyError(
-                "snapshot bootstrap requires a fresh cluster — these "
-                "shards already hold routed state"
-            )
-        self._seat(store_from_dict(snapshot))
 
     def _seat(self, head: OntologyStore) -> None:
         self._shards = ShardSet.build(head, self.num_shards)

@@ -33,8 +33,6 @@ from .mining import AttentionMiner, MinedAttention
 from .serialize import (
     save_ontology,
     load_ontology,
-    ontology_to_dict,
-    ontology_from_dict,
     delta_to_dict,
     delta_from_dict,
     save_deltas,
@@ -75,8 +73,6 @@ __all__ = [
     "MinedAttention",
     "save_ontology",
     "load_ontology",
-    "ontology_to_dict",
-    "ontology_from_dict",
     "delta_to_dict",
     "delta_from_dict",
     "save_deltas",

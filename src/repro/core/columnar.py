@@ -1,12 +1,15 @@
 """Columnar segments and the packed binary value codec (DESIGN.md §10).
 
-Snapshots and shard-read RPC responses both move canonical JSON today;
-at 10-100x world sizes the per-object dict overhead dominates both the
-bytes/node footprint and the serving hot path.  This module provides the
-two packed representations that replace it — while the JSON form stays
-the byte-identity *oracle* the tests check both against:
+Snapshots and shard-read RPC responses both move canonical JSON; this
+module provides two packed alternatives, measured against it — the JSON
+form stays the byte-identity *oracle* the tests check both against:
 
-* **Store segments** — :func:`encode_store_segment` packs a
+* **Store segments** — a measured codec, not a snapshot format: the
+  catalog, the publisher and the CLI write and read only the JSON store
+  snapshot, and the segment is kept as the perf ledger's probe of what
+  a packed snapshot would cost (``core.columnar.*`` rows in
+  ``bench/layers.py``, ``benchmarks/test_columnar_store.py``).
+  :func:`encode_store_segment` packs a
   :func:`~repro.core.serialize.store_to_dict` snapshot into an
   append-only immutable byte segment: one interned string pool (shared
   UTF-8 heap + struct-packed ``u32`` offsets + a German-string-style

@@ -1,28 +1,26 @@
-"""Ontology persistence: JSON round-trip for stores and deltas.
+"""Ontology persistence: one JSON snapshot format for stores, plus deltas.
 
 The production system stores the ontology in MySQL behind Tars RPC
 services; this module provides the equivalent durable representation for
-the reproduction — a deterministic JSON document that fully reconstructs
-nodes (with aliases and payloads) and edges (with types and weights) —
-plus the :class:`~repro.core.store.OntologyDelta` round-trip that lets a
-serving process refresh its :class:`~repro.core.store.OntologyStore`
-incrementally from pipeline-emitted update batches instead of reloading a
-full dump.
+the reproduction.  There is exactly one whole-ontology representation,
+the **store snapshot** (:func:`store_to_dict`): node ids, the mutation
+``version``, the id counter, the contested alias-key winners and edge
+insertion order all survive the round trip, so a reloaded store answers
+every read (``nodes()`` order and adjacency order included) exactly as
+the store it was taken from, and tail
+:class:`~repro.core.store.OntologyDelta` batches recorded *after* the
+snapshot apply cleanly.  The CLI's ``--out`` file
+(:func:`save_ontology`), the snapshot catalog next to the delta log and
+the publisher's ``log_snapshot`` reply all carry it.
 
-Two representations coexist (DESIGN.md):
-
-* the **portable ontology dump** (:func:`ontology_to_dict`) re-assigns
-  node ids on load — the seed format, fine for CLI hand-offs;
-* the **store snapshot** (:func:`store_to_dict`) preserves node ids, the
-  mutation ``version`` and the id counter, so tail
-  :class:`~repro.core.store.OntologyDelta` batches recorded *after* the
-  snapshot apply cleanly — the compaction/bootstrap format behind
-  :meth:`OntologyStore.compact` and :meth:`OntologyStore.bootstrap`.
-
-:func:`store_to_delta` additionally folds a whole store into one
-synthetic bootstrap delta (explicit node ids, base version 0) — the form
-the cluster's :class:`~repro.cluster.router.ShardRouter` can split across
-shards when only a saved ontology, not its delta history, is available.
+The :class:`~repro.core.store.OntologyDelta` round-trip lets a serving
+process refresh its :class:`~repro.core.store.OntologyStore`
+incrementally from pipeline-emitted update batches instead of reloading
+a full snapshot.  :func:`store_to_delta` additionally folds a whole
+store into one synthetic bootstrap delta (explicit node ids, base
+version 0) — the form the cluster's
+:class:`~repro.cluster.router.ShardRouter` can split across shards when
+only a saved ontology, not its delta history, is available.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from ..errors import OntologyError
 from .ontology import AttentionOntology, EdgeType, NodeType
 from .store import OntologyDelta, OntologyStore, creation_order
 
-FORMAT_VERSION = 1
 DELTA_FORMAT_VERSION = 1
 STORE_FORMAT_VERSION = 1
 
@@ -49,57 +46,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)
-
-
-def ontology_to_dict(ontology: AttentionOntology) -> dict:
-    """Serialise an ontology to a plain dict."""
-    nodes = []
-    for node in ontology.nodes():
-        nodes.append({
-            "id": node.node_id,
-            "type": node.node_type.value,
-            "phrase": node.phrase,
-            "aliases": sorted(node.aliases),
-            "payload": _jsonable(node.payload),
-        })
-    nodes.sort(key=lambda n: n["id"])
-    edges = [
-        {
-            "source": e.source,
-            "target": e.target,
-            "type": e.edge_type.value,
-            "weight": e.weight,
-        }
-        for e in sorted(ontology.edges(),
-                        key=lambda e: (e.source, e.target, e.edge_type.value))
-    ]
-    return {"version": FORMAT_VERSION, "nodes": nodes, "edges": edges}
-
-
-def ontology_from_dict(data: dict) -> AttentionOntology:
-    """Reconstruct an ontology from :func:`ontology_to_dict` output."""
-    if data.get("version") != FORMAT_VERSION:
-        raise OntologyError(f"unsupported ontology format: {data.get('version')!r}")
-    ontology = AttentionOntology()
-    id_map: dict[str, str] = {}
-    for node_data in data["nodes"]:
-        node = ontology.add_node(
-            NodeType(node_data["type"]), node_data["phrase"],
-            payload=node_data.get("payload") or {},
-        )
-        id_map[node_data["id"]] = node.node_id
-        for alias in node_data.get("aliases", []):
-            ontology.add_alias(node.node_id, alias)
-    for edge_data in data["edges"]:
-        source = id_map.get(edge_data["source"])
-        target = id_map.get(edge_data["target"])
-        if source is None or target is None:
-            raise OntologyError("edge references unknown node id")
-        etype = EdgeType(edge_data["type"])
-        if not ontology.has_edge(source, target, etype):
-            ontology.add_edge(source, target, etype,
-                              weight=edge_data.get("weight", 1.0))
-    return ontology
 
 
 def delta_to_dict(delta: OntologyDelta) -> dict:
@@ -117,7 +63,7 @@ def delta_from_dict(data: dict) -> OntologyDelta:
     """Reconstruct an update batch from :func:`delta_to_dict` output.
 
     Payload tuples become lists on the way through JSON (exactly as in the
-    full-ontology round-trip); node/edge structure replays identically.
+    store snapshot); node/edge structure replays identically.
     """
     if data.get("version") != DELTA_FORMAT_VERSION:
         raise OntologyError(f"unsupported delta format: {data.get('version')!r}")
@@ -182,10 +128,10 @@ def _alias_key_map(store: OntologyStore) -> dict[str, str]:
 def store_to_dict(store: OntologyStore) -> dict:
     """Serialise a store to a snapshot dict preserving ids and version.
 
-    Unlike :func:`ontology_to_dict`, the snapshot is *addressable*: node
-    ids, the mutation version, the id counter and the alias-key winners
-    survive the round-trip, so deltas recorded after the snapshot apply
-    to the reloaded store and exact-match lookups answer identically.
+    The snapshot is *addressable*: node ids, the mutation version, the
+    id counter and the alias-key winners survive the round-trip, so
+    deltas recorded after the snapshot apply to the reloaded store and
+    exact-match lookups answer identically.
     """
     nodes = []
     for node in sorted(store.nodes(), key=lambda n: creation_order(n.node_id)):
@@ -258,43 +204,6 @@ def store_from_dict(data: dict) -> OntologyStore:
     return store
 
 
-def save_store(store: OntologyStore, path: str) -> None:
-    """Write a store snapshot (compaction output) to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(store_to_dict(store), handle, indent=1, sort_keys=True)
-
-
-def load_store(path: str) -> OntologyStore:
-    """Read a store snapshot written by :func:`save_store`."""
-    with open(path, encoding="utf-8") as handle:
-        return store_from_dict(json.load(handle))
-
-
-def save_store_columnar(store: OntologyStore, path: str) -> int:
-    """Write a store snapshot as a columnar segment
-    (:func:`~repro.core.columnar.encode_store_segment`); returns the
-    byte size written.  The JSON twin (:func:`save_store`) remains the
-    default-readable format — the segment packs the *same* snapshot
-    dict, so both decode to ``rpc.dumps``-identical stores."""
-    from .columnar import encode_store_segment
-
-    data = encode_store_segment(store_to_dict(store))
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return len(data)
-
-
-def load_store_columnar(path: str) -> OntologyStore:
-    """Read a columnar store segment written by
-    :func:`save_store_columnar`.  Raises
-    :class:`~repro.errors.SegmentIntegrityError` on a truncated or
-    corrupt segment (checksum validated before any column is parsed)."""
-    from .columnar import decode_store_segment
-
-    with open(path, "rb") as handle:
-        return store_from_dict(decode_store_segment(handle.read()))
-
-
 def store_to_delta(store: OntologyStore, stage: str = "bootstrap"
                    ) -> OntologyDelta:
     """Fold a whole store into one synthetic, replayable bootstrap delta.
@@ -335,12 +244,14 @@ def store_to_delta(store: OntologyStore, stage: str = "bootstrap"
 
 
 def save_ontology(ontology: AttentionOntology, path: str) -> None:
-    """Write the ontology to a JSON file."""
+    """Write the ontology's store snapshot (:func:`store_to_dict`) to a
+    JSON file."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(ontology_to_dict(ontology), handle, indent=1, sort_keys=True)
+        json.dump(store_to_dict(ontology.store), handle, indent=1,
+                  sort_keys=True)
 
 
 def load_ontology(path: str) -> AttentionOntology:
-    """Read an ontology from a JSON file."""
+    """Read an ontology written by :func:`save_ontology`."""
     with open(path, encoding="utf-8") as handle:
-        return ontology_from_dict(json.load(handle))
+        return AttentionOntology(store=store_from_dict(json.load(handle)))

@@ -93,12 +93,12 @@ class ShardUnavailableError(ReproError):
 
 
 class SegmentIntegrityError(OntologyError):
-    """Raised when a columnar segment (a snapshot file or a binary wire
-    message) fails structural validation — bad magic, an unsupported
-    format version, a footer checksum mismatch, or truncation.  Named so
-    readonly catalog/log opens surface corruption as a typed refusal
-    instead of a struct unpack traceback; recovery is to fall back to an
-    older snapshot or re-fetch, never to trust partial columns."""
+    """Raised when a columnar segment (a packed store segment or a binary
+    wire message) fails structural validation — bad magic, an
+    unsupported format version, a footer checksum mismatch, or
+    truncation.  Named so corruption surfaces as a typed refusal instead
+    of a struct unpack traceback; recovery is to re-fetch, never to
+    trust partial columns."""
 
 
 class TrainingError(ReproError):

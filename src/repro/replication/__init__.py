@@ -32,7 +32,7 @@ a :class:`~repro.cluster.service.ClusterService` in its own
 follower-fed worker process.
 """
 
-from .catalog import SNAPSHOT_FORMATS, SnapshotCatalog
+from .catalog import SnapshotCatalog
 from .follower import LocalLogClient, LogFollower, SyncLogClient
 from .log import DeltaLog
 from .publisher import LogPublisher, PublisherThread
@@ -43,7 +43,6 @@ __all__ = [
     "LogFollower",
     "LogPublisher",
     "PublisherThread",
-    "SNAPSHOT_FORMATS",
     "SnapshotCatalog",
     "SyncLogClient",
 ]

@@ -21,6 +21,13 @@ retention policy (DESIGN.md §8):
   compacted;
 * old snapshots beyond ``retain_snapshots`` are pruned.
 
+Every snapshot is a JSON store snapshot
+(:func:`~repro.core.serialize.store_to_dict`), the repo's one
+whole-ontology format.  On a log opened with ``fsync=True`` the snapshot
+file, ``CATALOG.json`` and the snapshot directory are fsynced before any
+folded segment is unlinked, so a power loss can never keep the GC and
+lose the snapshot that made it safe.
+
 A follower cold-starts from ``latest()`` snapshot + ``log.read(version)``
 tail — :meth:`OntologyStore.bootstrap` — with state identical to a full
 replay; the :class:`~repro.replication.publisher.LogPublisher` serves
@@ -36,13 +43,10 @@ from typing import Callable
 
 from ..core.store import OntologyStore
 from ..errors import OntologyError
-from .log import DeltaLog
+from .log import DeltaLog, fsync_dir
 
 CATALOG_FORMAT_VERSION = 1
 _CATALOG = "CATALOG.json"
-
-#: Snapshot encodings the catalog can write (readers accept both).
-SNAPSHOT_FORMATS = ("json", "columnar")
 
 
 class SnapshotCatalog:
@@ -60,36 +64,20 @@ class SnapshotCatalog:
             created or modified (``record``/``maybe_compact`` raise),
             matching a read-only :class:`DeltaLog` (the ``serve
             --from-log`` path, which must not touch a directory a live
-            builder owns — possibly on a read-only mount).  Columnar
-            segments referenced by the catalog are checksum-verified at
-            open, so a readonly consumer refuses a corrupt snapshot
-            (:class:`~repro.errors.SegmentIntegrityError`) up front
-            rather than serving half-decoded columns.
-        snapshot_format: encoding :meth:`record` writes — ``"json"``
-            (the default, human-inspectable, the byte-identity oracle)
-            or ``"columnar"`` (packed segments,
-            :mod:`repro.core.columnar`).  Reading dispatches on each
-            catalog entry's recorded format, so a log's history may mix
-            both and old JSON snapshots stay readable forever.
+            builder owns — possibly on a read-only mount).
     """
 
     def __init__(self, log: DeltaLog, path: "str | os.PathLike | None" = None,
                  *, compact_bytes: int = 256 * 1024,
                  retain_segments: int = 1,
                  retain_snapshots: int = 2,
-                 readonly: bool = False,
-                 snapshot_format: str = "json") -> None:
+                 readonly: bool = False) -> None:
         if compact_bytes <= 0:
             raise OntologyError("compact_bytes must be positive")
         if retain_snapshots <= 0:
             raise OntologyError("retain_snapshots must be positive")
-        if snapshot_format not in SNAPSHOT_FORMATS:
-            raise OntologyError(
-                f"unknown snapshot format {snapshot_format!r} "
-                f"(choose from {', '.join(SNAPSHOT_FORMATS)})")
         self._log = log
         self._readonly = readonly
-        self._snapshot_format = snapshot_format
         self.path = pathlib.Path(path) if path is not None \
             else log.path / "snapshots"
         if not readonly:
@@ -123,23 +111,19 @@ class SnapshotCatalog:
         # Entries whose file vanished (interrupted prune) are dropped.
         self._entries = [entry for entry in data.get("snapshots", [])
                          if (self.path / entry["name"]).exists()]
-        if self._readonly:
-            # A readonly open is a consumer about to bootstrap: verify
-            # every referenced columnar segment's footer checksum now so
-            # corruption surfaces as a typed refusal at open, not a
-            # decode error mid-bootstrap.
-            from ..core.columnar import check_segment
 
-            for entry in self._entries:
-                if entry.get("format") == "columnar":
-                    check_segment((self.path / entry["name"]).read_bytes())
-
-    def _save(self) -> None:
-        payload = {"format": CATALOG_FORMAT_VERSION,
-                   "snapshots": self._entries}
-        tmp = self.path / (_CATALOG + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        os.replace(tmp, self.path / _CATALOG)
+    def _write(self, name: str, payload: dict) -> None:
+        """Atomically replace ``name`` in the snapshot directory with
+        ``payload`` as JSON; on an fsyncing log the bytes are on disk
+        before the rename publishes them."""
+        tmp = self.path / (name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload, indent=1, sort_keys=True)
+                         + "\n")
+            if self._log.fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp, self.path / name)
 
     # ------------------------------------------------------------------
     # introspection
@@ -153,34 +137,17 @@ class SnapshotCatalog:
         return [dict(entry) for entry in self._entries]
 
     def latest_entry(self) -> "dict | None":
-        """Newest catalog entry (name/version/format) without loading
-        the snapshot itself — the publisher uses this to pass a columnar
-        segment through to a follower verbatim."""
+        """Newest catalog entry (file name and version) without loading
+        the snapshot itself."""
         return dict(self._entries[-1]) if self._entries else None
-
-    def read_segment(self, entry: dict) -> bytes:
-        """Raw bytes of a columnar snapshot entry (pass-through serving:
-        the consumer decodes and thereby checksum-verifies them)."""
-        if entry.get("format") != "columnar":
-            raise OntologyError(
-                f"snapshot {entry.get('name')!r} is not a columnar segment")
-        return (self.path / entry["name"]).read_bytes()
 
     def latest(self) -> "tuple[dict | None, int]":
         """Newest snapshot document and its version (``(None, 0)`` when
-        the catalog is empty — bootstrap then replays the log from 0).
-        A columnar entry is decoded to the identical snapshot dict (a
-        corrupt segment raises
-        :class:`~repro.errors.SegmentIntegrityError`)."""
+        the catalog is empty — bootstrap then replays the log from 0)."""
         if not self._entries:
             return None, 0
         entry = self._entries[-1]
-        if entry.get("format") == "columnar":
-            from ..core.columnar import decode_store_segment
-
-            data = decode_store_segment(self.read_segment(entry))
-        else:
-            data = json.loads((self.path / entry["name"]).read_text())
+        data = json.loads((self.path / entry["name"]).read_text())
         return data, entry["version"]
 
     def unfolded_bytes(self) -> int:
@@ -224,26 +191,17 @@ class SnapshotCatalog:
             self._log.drop_segments_before(self._gc_version(version),
                                            retain_tail=self._retain_segments)
             return version
-        snapshot = store.compact()
-        if self._snapshot_format == "columnar":
-            from ..core.columnar import encode_store_segment
-
-            name = f"snapshot-{version:012d}.rcs"
-            tmp = self.path / (name + ".tmp")
-            tmp.write_bytes(encode_store_segment(snapshot))
-            entry = {"name": name, "version": version,
-                     "format": "columnar"}
-        else:
-            name = f"snapshot-{version:012d}.json"
-            tmp = self.path / (name + ".tmp")
-            tmp.write_text(json.dumps(snapshot, indent=1, sort_keys=True)
-                           + "\n")
-            entry = {"name": name, "version": version}
-        os.replace(tmp, self.path / name)
-        self._entries.append(entry)
+        name = f"snapshot-{version:012d}.json"
+        self._write(name, store.compact())
+        self._entries.append({"name": name, "version": version})
         pruned = self._entries[:-self._retain_snapshots]
         self._entries = self._entries[-self._retain_snapshots:]
-        self._save()  # catalog first: a crash leaves unreferenced files
+        # Catalog first: a crash leaves unreferenced files, never an
+        # entry without its file.
+        self._write(_CATALOG, {"format": CATALOG_FORMAT_VERSION,
+                               "snapshots": self._entries})
+        if self._log.fsync:
+            fsync_dir(self.path)  # both renames durable before any unlink
         for entry in pruned:
             (self.path / entry["name"]).unlink(missing_ok=True)
         self._log.drop_segments_before(self._gc_version(version),

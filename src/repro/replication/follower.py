@@ -2,7 +2,8 @@
 
 Every process that consumes the log runs one :class:`LogFollower`
 (DESIGN.md §8 "Log shipping" lists them): the only code that bootstraps
-from ``latest_snapshot()`` + ``fetch(tail)`` (through
+from ``latest_snapshot()`` — the catalog's JSON store snapshot, the one
+whole-ontology format — + ``fetch(tail)`` (through
 :meth:`OntologyStore.bootstrap`), polls or long-polls for new batches,
 turns a :class:`~repro.errors.DeltaGapError` into a rebuild, and
 confirms the applied position to the publisher's segment-GC floor.  What
@@ -24,7 +25,6 @@ same reads served off in-process :class:`~repro.replication.log.DeltaLog`
 
 from __future__ import annotations
 
-import base64
 import time
 
 from ..core.serialize import delta_from_dict
@@ -98,16 +98,8 @@ class SyncLogClient:
         return [delta_from_dict(d) for d in result["deltas"]]
 
     def latest_snapshot(self) -> "tuple[dict | None, int]":
-        """Newest snapshot + version for bootstrap.  Advertises columnar
-        acceptance so a publisher with columnar segments ships the packed
-        bytes (decoded — and checksum-verified — here)."""
-        result = self._rpc.call("log_snapshot", accept=["columnar"])
-        if result.get("format") == "columnar" \
-                and result.get("segment") is not None:
-            from ..core.columnar import decode_store_segment
-
-            segment = base64.b64decode(result["segment"])
-            return decode_store_segment(segment), result["version"]
+        """Newest JSON store snapshot + version for bootstrap."""
+        result = self._rpc.call("log_snapshot")
         return result["snapshot"], result["version"]
 
     def status(self) -> dict:

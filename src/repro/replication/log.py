@@ -54,6 +54,20 @@ _SEGMENT_GLOB = "seg-*.jsonl"
 _MANIFEST = "MANIFEST.json"
 
 
+def fsync_dir(path: "str | os.PathLike") -> None:
+    """Make a directory's entries (creates, renames, unlinks) durable."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:  # platform without directory fds
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
 @dataclass
 class SegmentInfo:
     """Bookkeeping for one segment file."""
@@ -249,6 +263,12 @@ class DeltaLog:
     # bounds / introspection
     # ------------------------------------------------------------------
     @property
+    def fsync(self) -> bool:
+        """Whether this log fsyncs its commits (the power-loss
+        durability the snapshot catalog matches before segment GC)."""
+        return self._fsync
+
+    @property
     def first_version(self) -> int:
         """Version before the earliest retained delta (0 until GC)."""
         return self._segments[0].base_version
@@ -370,7 +390,7 @@ class DeltaLog:
         self._segments.append(self._create_segment(self.last_version))
         self._write_manifest()
         if self._fsync:
-            self._fsync_dir()
+            fsync_dir(self.path)
 
     def _create_segment(self, base_version: int) -> SegmentInfo:
         ordinal = 1
@@ -454,7 +474,7 @@ class DeltaLog:
         for name in dropped:    # orphans recover() removes on next open
             (self.path / name).unlink()
         if self._fsync:
-            self._fsync_dir()
+            fsync_dir(self.path)
         return dropped
 
     # ------------------------------------------------------------------
@@ -480,18 +500,6 @@ class DeltaLog:
         tmp = self.path / (_MANIFEST + ".tmp")
         tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         os.replace(tmp, self.path / _MANIFEST)
-
-    def _fsync_dir(self) -> None:
-        try:
-            fd = os.open(self.path, os.O_RDONLY)
-        except OSError:  # platform without directory fds
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
 
     def sync(self) -> None:
         """Flush and fsync the active segment (regardless of ``fsync``)."""

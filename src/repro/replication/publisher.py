@@ -12,12 +12,9 @@ length-prefixed JSON framing as :mod:`repro.serving.rpc`:
 * ``log_wait(since, timeout)`` — the subscribe primitive: long-poll
   until the log grows past ``since`` (or the timeout lapses), then
   behave like ``log_fetch``;
-* ``log_snapshot(accept)`` — newest catalog snapshot + version, the
-  bootstrap half of snapshot-plus-tail recovery; a client whose
-  ``accept`` list includes ``"columnar"`` gets a columnar snapshot
-  passed through as the raw base64 segment (checksummed, decoded —
-  and thereby verified — client-side) instead of the server decoding
-  it to JSON first;
+* ``log_snapshot()`` — newest catalog snapshot (the JSON store
+  snapshot) + version, the bootstrap half of snapshot-plus-tail
+  recovery;
 * ``log_status()`` — retained range and segment/snapshot bookkeeping;
 * ``log_register(follower, since)`` / ``log_forget(follower)`` —
   follower-offset tracking: a *registered* follower's last-fetched-from
@@ -36,7 +33,6 @@ keeps building; all log access is marshalled onto that loop thread
 from __future__ import annotations
 
 import asyncio
-import base64
 import threading
 from collections import deque
 from typing import Any, Callable, Iterable, Sequence
@@ -88,7 +84,6 @@ class LogPublisher(StreamServer):
         self._fetched_deltas = self._metrics.counter("fetched_deltas")
         self._waits = self._metrics.counter("waits")
         self._snapshots_served = self._metrics.counter("snapshots_served")
-        self._snapshot_bytes = self._metrics.counter("snapshot_bytes")
         self._followers_gauge = self._metrics.gauge("followers")
         self._last_version_gauge = self._metrics.gauge("last_version")
         self._gc_floor_gauge = self._metrics.gauge("gc_floor")
@@ -265,21 +260,10 @@ class LogPublisher(StreamServer):
                     "last_version": self._log.last_version}
         return await self._log_fetch(since, max_count=max_count)
 
-    async def _log_snapshot(self, accept: "list[str] | None" = None) -> dict:
+    async def _log_snapshot(self) -> dict:
         if self._catalog is None:
             return {"snapshot": None, "version": 0}
         self._snapshots_served.inc()
-        entry = self._catalog.latest_entry()
-        if entry is not None and entry.get("format") == "columnar" \
-                and accept is not None and "columnar" in accept:
-            # Pass the packed segment through verbatim: no server-side
-            # decode, and the client's decode verifies the checksum.
-            segment = self._catalog.read_segment(entry)
-            self._snapshot_bytes.inc(len(segment))
-            return {"snapshot": None,
-                    "segment": base64.b64encode(segment).decode("ascii"),
-                    "format": "columnar",
-                    "version": entry["version"]}
         snapshot, version = self._catalog.latest()
         return {"snapshot": snapshot, "version": version}
 

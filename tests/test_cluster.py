@@ -210,27 +210,25 @@ class TestClusterReplay:
         assert cluster.stats()["ontology"] == producer.stats()
 
     def test_bootstrap_from_snapshot_plus_tail(self, producer_and_deltas):
-        """The cluster-side snapshot bootstrap: fold a compact() dump
-        through the router, fast-forward, then refresh with the tail —
-        state identical to routing the full stream."""
+        """Snapshot plus tail: fold the bootstrapped head through the
+        router — state identical to routing the full stream — then a
+        tail predating the snapshot is rejected as an overlap."""
         producer, deltas = producer_and_deltas
         snapshot = OntologyStore.bootstrap(None, deltas[:2]).compact()
-        cluster = ClusterService(num_shards=4, snapshot=snapshot,
-                                 deltas=deltas[2:])
+        cluster = ClusterService(
+            num_shards=4,
+            ontology=OntologyStore.bootstrap(snapshot, deltas[2:]))
         assert cluster.version == producer.version
         assert cluster.stats()["ontology"] == producer.stats()
         full = ClusterService(num_shards=4, deltas=deltas)
         assert cluster.stats()["ontology"] == full.stats()["ontology"]
-        # A tail predating the snapshot is rejected as an overlap.
-        fresh = ClusterService(num_shards=4, snapshot=snapshot)
+        fresh = ClusterService(num_shards=4,
+                               ontology=OntologyStore.bootstrap(snapshot))
         straddling = OntologyDelta(
             stage="merged", base_version=deltas[1].base_version,
             version=deltas[2].version, ops=deltas[1].ops + deltas[2].ops)
         with pytest.raises(DeltaGapError, match="double-apply"):
             fresh.refresh([straddling])
-        # Snapshot bootstrap needs a fresh cluster.
-        with pytest.raises(OntologyError, match="fresh cluster"):
-            cluster.bootstrap(snapshot)
 
     def test_ontology_and_deltas_mutually_exclusive(self,
                                                     producer_and_deltas):

@@ -264,10 +264,10 @@ class _Replay:
                                tagger_options=TAGGER_OPTIONS,
                                deltas=self.recorded)
         assert fresh.num_shards == self.cluster.num_shards
-        snapshot = self.producer.store.compact()
-        booted = ClusterService(num_shards=start_shards, ner=self.ner,
-                                tagger_options=TAGGER_OPTIONS,
-                                snapshot=snapshot)
+        booted = ClusterService(
+            num_shards=start_shards, ner=self.ner,
+            tagger_options=TAGGER_OPTIONS,
+            ontology=OntologyStore.bootstrap(self.producer.store.compact()))
         assert booted.num_shards == self.cluster.num_shards
         for service in (fresh, booted):
             assert dumps(service.tag_documents(docs)) == \

@@ -232,8 +232,7 @@ class TestRemoteBinaryWire:
         producer, delta = _sample_ontology()
         log = DeltaLog(log_dir, segment_max_bytes=512)
         log.append(delta)
-        catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0,
-                                  snapshot_format="columnar")
+        catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
         catalog.record(OntologyStore.bootstrap(None, [delta]))
         ner = NerTagger()
         for name in ("iron man", "thor", "hulk", "black widow", "wasp"):
@@ -241,7 +240,7 @@ class TestRemoteBinaryWire:
         return producer, log, catalog, ner
 
     def test_binary_cluster_byte_identical_with_rebalance(self, tmp_path):
-        """4 binary-wire shard workers bootstrapped from a *columnar*
+        """4 binary-wire shard workers bootstrapped from the catalog
         snapshot serve responses byte-identical to a single store —
         before and after a mid-stream delta plus a ring rebalance."""
         producer, log, catalog, ner = self._seed_log(tmp_path / "log")

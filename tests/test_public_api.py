@@ -4,6 +4,7 @@ import ast
 import importlib
 import pathlib
 import py_compile
+import sys
 
 import pytest
 
@@ -155,6 +156,68 @@ def test_only_the_service_declares_the_serving_endpoints():
                            and node.attr == "_service"
                            for node in ast.walk(tree)), path.name
     assert not fronts, fronts
+
+
+#: Text that only a second whole-ontology format would need.
+_SECOND_FORMAT = ("snapshot_format", "ontology_to_dict", "read_segment",
+                  "accept=")
+_SEGMENT_CODEC = {"encode_store_segment", "decode_store_segment",
+                  "check_segment"}
+
+
+def test_one_snapshot_format():
+    """Structure guard: the JSON store snapshot is the only whole-ontology
+    representation.  No portable dump, no user-selected snapshot
+    encoding, no columnar pass-through on the wire; only the serializer
+    and ``OntologyStore.bootstrap`` turn a snapshot dict into a store,
+    and no module calls the store-segment codec, which stays in
+    ``core/columnar.py`` as the perf ledger's probe."""
+    src = _repo_root() / "src" / "repro"
+    owners = {src / "core" / "serialize.py", src / "core" / "store.py"}
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        offenders += [f"{path.name}: {word}" for word in _SECOND_FORMAT
+                      if word in text]
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) \
+                else getattr(node.func, "id", None)
+            if (name == "store_from_dict" and path not in owners) or \
+                    (name in _SEGMENT_CODEC and path.name != "columnar.py"):
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders, offenders
+
+
+def test_ci_installs_every_third_party_import():
+    """Every top-level module the test, benchmark and bench trees import
+    is stdlib, first-party, or on the CI workflow's pip install line —
+    otherwise collection fails on a clean runner."""
+    root = _repo_root()
+    ci = (root / ".github" / "workflows" / "ci.yml").read_text()
+    line = next(text for text in ci.splitlines() if "pip install" in text)
+    installed = {word.replace("-", "_").lower()
+                 for word in line.split("pip install", 1)[1].split()}
+    trees = [root / name for name in ("tests", "benchmarks", "bench")]
+    first_party = {"repro", "bench"} | {path.stem for tree in trees
+                                        for path in tree.rglob("*.py")}
+    missing = set()
+    for tree in trees:
+        for path in sorted(tree.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                missing |= {f"{name.split('.')[0]} ({path.name})"
+                            for name in names
+                            if name.split(".")[0] not in
+                            sys.stdlib_module_names | first_party
+                            | installed}
+    assert not missing, sorted(missing)
 
 
 def test_version_string():

@@ -380,6 +380,36 @@ class TestSnapshotCatalog:
         assert len(on_disk) == 2
         assert catalog.latest_version == deltas[-1].version
 
+    def test_snapshot_durable_before_segment_gc(self, producer_and_deltas,
+                                                log_dir, monkeypatch):
+        """On an fsyncing log the new snapshot file is fsynced before any
+        folded segment is unlinked: a power loss cannot keep the GC and
+        lose the snapshot that made it safe."""
+        _producer, deltas = producer_and_deltas
+        log = DeltaLog(log_dir, segment_max_bytes=256, fsync=True)
+        log.extend(deltas)
+        catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
+        events = []
+        real_fsync, real_unlink = os.fsync, pathlib.Path.unlink
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def unlink(path, *args, **kwargs):
+            events.append(("unlink", path.name))
+            real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(pathlib.Path, "unlink", unlink)
+        catalog.record(OntologyStore.bootstrap(None, deltas))
+        monkeypatch.undo()
+        snapshot = catalog.path / catalog.latest_entry()["name"]
+        unlinks = [i for i, (kind, name) in enumerate(events)
+                   if kind == "unlink" and name.endswith(".jsonl")]
+        assert unlinks, "the record must GC at least one folded segment"
+        assert ("fsync", snapshot.stat().st_ino) in events[:unlinks[0]]
+
     def test_stale_record_rejected(self, producer_and_deltas, log_dir):
         _producer, deltas = producer_and_deltas
         log = DeltaLog(log_dir)

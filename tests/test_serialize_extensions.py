@@ -15,13 +15,10 @@ from repro.core.linking.concept_concept import (
     link_concept_correlations,
 )
 from repro.core.ontology import AttentionOntology, EdgeType, NodeType
+from repro.pipeline import GiantPipeline
 from repro.core.serialize import (
     load_ontology,
-    load_store_columnar,
-    ontology_from_dict,
-    ontology_to_dict,
     save_ontology,
-    save_store_columnar,
     store_from_dict,
     store_to_delta,
     store_to_dict,
@@ -51,24 +48,37 @@ def ontology():
     return onto
 
 
+def _round_trip(ontology: AttentionOntology) -> AttentionOntology:
+    return AttentionOntology(
+        store=store_from_dict(store_to_dict(ontology.store)))
+
+
+@pytest.fixture(scope="module")
+def pipeline_ontology(click_graph, pos_tagger, ner_tagger, sessions, world):
+    pipeline = GiantPipeline(
+        click_graph, pos_tagger, ner_tagger,
+        categories=sorted({c[2] for c in world.categories}))
+    return pipeline.run(sessions=sessions)
+
+
 class TestSerialization:
     def test_round_trip_preserves_stats(self, ontology):
-        rebuilt = ontology_from_dict(ontology_to_dict(ontology))
+        rebuilt = _round_trip(ontology)
         assert rebuilt.stats() == ontology.stats()
 
     def test_round_trip_preserves_aliases(self, ontology):
-        rebuilt = ontology_from_dict(ontology_to_dict(ontology))
+        rebuilt = _round_trip(ontology)
         node = rebuilt.find(NodeType.CONCEPT, "cheap cars")
         assert node is not None
         assert node.phrase == "economy cars"
 
     def test_round_trip_preserves_payload(self, ontology):
-        rebuilt = ontology_from_dict(ontology_to_dict(ontology))
+        rebuilt = _round_trip(ontology)
         node = rebuilt.find(NodeType.CONCEPT, "economy cars")
         assert node.payload["context_titles"] == [["economy", "cars", "ranked"]]
 
     def test_round_trip_preserves_edge_weights(self, ontology):
-        rebuilt = ontology_from_dict(ontology_to_dict(ontology))
+        rebuilt = _round_trip(ontology)
         edges = rebuilt.edges(EdgeType.CORRELATE)
         assert len(edges) == 1
         assert edges[0].weight == 0.9
@@ -79,21 +89,43 @@ class TestSerialization:
         rebuilt = load_ontology(str(path))
         assert rebuilt.stats() == ontology.stats()
 
+    def test_file_round_trip_keeps_pipeline_ontology(self, pipeline_ontology,
+                                                     tmp_path):
+        """Regression: the saved file reloads the built ontology's node
+        ids, version, ``nodes()`` order and adjacency order (payload
+        tuples still come back as lists, as in any JSON round trip)."""
+        path = tmp_path / "onto.json"
+        save_ontology(pipeline_ontology, str(path))
+        rebuilt = load_ontology(str(path))
+
+        def shape(onto):
+            def ids(nodes):
+                return [node.node_id for node in nodes]
+
+            return dumps([onto.version] + [
+                [node.node_id, ids(onto.store.successors(node.node_id)),
+                 ids(onto.store.predecessors(node.node_id))]
+                for node in onto.nodes()])
+
+        assert len(pipeline_ontology) > 100
+        assert shape(rebuilt) == shape(pipeline_ontology)
+
     def test_serialized_is_valid_json(self, ontology, tmp_path):
         path = tmp_path / "onto.json"
         save_ontology(ontology, str(path))
         data = json.loads(path.read_text())
-        assert data["version"] == 1
+        assert data["format"] == 1
         assert len(data["nodes"]) == len(ontology)
 
     def test_unknown_version_rejected(self):
         with pytest.raises(OntologyError):
-            ontology_from_dict({"version": 99, "nodes": [], "edges": []})
+            store_from_dict({"format": 99, "store_version": 0, "counter": 0,
+                             "nodes": [], "edges": []})
 
     def test_dangling_edge_rejected(self):
         with pytest.raises(OntologyError):
-            ontology_from_dict({
-                "version": 1,
+            store_from_dict({
+                "format": 1, "store_version": 0, "counter": 0,
                 "nodes": [],
                 "edges": [{"source": "x", "target": "y", "type": "isA"}],
             })
@@ -101,7 +133,7 @@ class TestSerialization:
     def test_tuple_payload_becomes_list(self):
         onto = AttentionOntology()
         onto.add_node(NodeType.TOPIC, "t", payload={"pattern": ("X", "wins")})
-        rebuilt = ontology_from_dict(ontology_to_dict(onto))
+        rebuilt = _round_trip(onto)
         node = rebuilt.find(NodeType.TOPIC, "t")
         assert node.payload["pattern"] == ["X", "wins"]
 
@@ -172,14 +204,6 @@ class TestColumnarSegments:
         snapshot = store_to_dict(onto.store)
         decoded = decode_store_segment(encode_store_segment(snapshot))
         assert dumps(decoded) == dumps(snapshot)
-
-    def test_file_round_trip_and_size(self, tmp_path):
-        store = _random_store(3)
-        path = tmp_path / "store.rcs"
-        size = save_store_columnar(store, str(path))
-        assert size == path.stat().st_size > 0
-        rebuilt = load_store_columnar(str(path))
-        assert dumps(store_to_dict(rebuilt)) == dumps(store_to_dict(store))
 
     def test_footer_counts_match_tables(self):
         store = _random_store(5)

@@ -302,13 +302,13 @@ class TestCompaction:
                           "shared phrase").node_id == late.node_id
 
     def test_store_file_round_trip(self, tmp_path):
-        from repro.core.serialize import load_store, save_store
+        from repro.core.serialize import load_ontology, save_ontology
 
         full, deltas = self._record_days()
         prefix = OntologyStore.bootstrap(None, deltas[:2])
         path = tmp_path / "snapshot.json"
-        save_store(prefix, str(path))
-        cold = load_store(str(path))
+        save_ontology(AttentionOntology(store=prefix), str(path))
+        cold = load_ontology(str(path)).store
         assert cold.version == prefix.version
         cold.apply_delta(deltas[2])
         assert cold.stats() == full.stats()
