@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 from typing import Any
 
 from ..errors import OntologyError
@@ -35,6 +36,22 @@ from .store import OntologyDelta, OntologyStore, creation_order
 
 DELTA_FORMAT_VERSION = 1
 STORE_FORMAT_VERSION = 1
+
+
+def write_json_atomic(path: "str | os.PathLike", payload: Any, *,
+                      fsync: bool = True) -> None:
+    """Replace ``path`` with ``payload`` as JSON, all or nothing: the
+    document is encoded in full, written to ``<path>.tmp`` (fsynced
+    when ``fsync``) and renamed over ``path``, so an encoding error or
+    a crash leaves the previous file byte-identical."""
+    text = json.dumps(payload, indent=1, sort_keys=True)
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        if fsync:
+            handle.flush()
+            os.fsync(handle.fileno())
+    os.replace(tmp, path)
 
 
 def _jsonable(value: Any) -> Any:
@@ -100,9 +117,7 @@ def delta_from_json_line(line: str) -> OntologyDelta:
 
 def save_deltas(deltas: "list[OntologyDelta]", path: str) -> None:
     """Write a delta sequence (one pipeline run's update batches) to JSON."""
-    payload = [delta_to_dict(d) for d in deltas]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
+    write_json_atomic(path, [delta_to_dict(d) for d in deltas])
 
 
 def load_deltas(path: str) -> "list[OntologyDelta]":
@@ -246,9 +261,7 @@ def store_to_delta(store: OntologyStore, stage: str = "bootstrap"
 def save_ontology(ontology: AttentionOntology, path: str) -> None:
     """Write the ontology's store snapshot (:func:`store_to_dict`) to a
     JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(store_to_dict(ontology.store), handle, indent=1,
-                  sort_keys=True)
+    write_json_atomic(path, store_to_dict(ontology.store))
 
 
 def load_ontology(path: str) -> AttentionOntology:

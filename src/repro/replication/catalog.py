@@ -23,10 +23,14 @@ retention policy (DESIGN.md §8):
 
 Every snapshot is a JSON store snapshot
 (:func:`~repro.core.serialize.store_to_dict`), the repo's one
-whole-ontology format.  On a log opened with ``fsync=True`` the snapshot
-file, ``CATALOG.json`` and the snapshot directory are fsynced before any
-folded segment is unlinked, so a power loss can never keep the GC and
-lose the snapshot that made it safe.
+whole-ontology format, in ``snapshot-<version:012d>.json``: the sorted
+listing is the catalog and each file name gives its snapshot's version.
+A snapshot is written to a temp file and renamed into place
+(:func:`~repro.core.serialize.write_json_atomic`); the rename is its
+commit point.  On a log opened with ``fsync=True`` the snapshot file and
+then the snapshot directory are fsynced before any old snapshot is
+pruned or folded segment unlinked, so a power loss can never keep the
+GC and lose the snapshot that made it safe.
 
 A follower cold-starts from ``latest()`` snapshot + ``log.read(version)``
 tail — :meth:`OntologyStore.bootstrap` — with state identical to a full
@@ -41,12 +45,10 @@ import os
 import pathlib
 from typing import Callable
 
+from ..core.serialize import write_json_atomic
 from ..core.store import OntologyStore
 from ..errors import OntologyError
-from .log import DeltaLog, fsync_dir
-
-CATALOG_FORMAT_VERSION = 1
-_CATALOG = "CATALOG.json"
+from .log import DeltaLog, fsync_dir, reject_manifest_layout
 
 
 class SnapshotCatalog:
@@ -82,12 +84,14 @@ class SnapshotCatalog:
             else log.path / "snapshots"
         if not readonly:
             self.path.mkdir(parents=True, exist_ok=True)
+        reject_manifest_layout(self.path)
         self._compact_bytes = compact_bytes
         self._retain_segments = retain_segments
         self._retain_snapshots = retain_snapshots
         self._gc_floor: "Callable[[], int | None] | None" = None
-        self._entries: list[dict] = []
-        self._load()
+        self._entries = [
+            {"name": snap.name, "version": int(snap.stem[len("snapshot-"):])}
+            for snap in sorted(self.path.glob("snapshot-*.json"))]
 
     def bind_gc_floor(self, provider: "Callable[[], int | None]") -> None:
         """Bind a GC floor provider (e.g. ``LogPublisher.follower_floor``):
@@ -99,31 +103,6 @@ class SnapshotCatalog:
     def _gc_version(self, version: int) -> int:
         floor = self._gc_floor() if self._gc_floor is not None else None
         return version if floor is None else min(version, floor)
-
-    def _load(self) -> None:
-        path = self.path / _CATALOG
-        if not self.path.is_dir() or not path.exists():
-            return
-        data = json.loads(path.read_text())
-        if data.get("format") != CATALOG_FORMAT_VERSION:
-            raise OntologyError(
-                f"unsupported snapshot catalog format: {data.get('format')!r}")
-        # Entries whose file vanished (interrupted prune) are dropped.
-        self._entries = [entry for entry in data.get("snapshots", [])
-                         if (self.path / entry["name"]).exists()]
-
-    def _write(self, name: str, payload: dict) -> None:
-        """Atomically replace ``name`` in the snapshot directory with
-        ``payload`` as JSON; on an fsyncing log the bytes are on disk
-        before the rename publishes them."""
-        tmp = self.path / (name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=1, sort_keys=True)
-                         + "\n")
-            if self._log.fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp, self.path / name)
 
     # ------------------------------------------------------------------
     # introspection
@@ -192,16 +171,13 @@ class SnapshotCatalog:
                                            retain_tail=self._retain_segments)
             return version
         name = f"snapshot-{version:012d}.json"
-        self._write(name, store.compact())
+        write_json_atomic(self.path / name, store.compact(),
+                          fsync=self._log.fsync)
         self._entries.append({"name": name, "version": version})
         pruned = self._entries[:-self._retain_snapshots]
         self._entries = self._entries[-self._retain_snapshots:]
-        # Catalog first: a crash leaves unreferenced files, never an
-        # entry without its file.
-        self._write(_CATALOG, {"format": CATALOG_FORMAT_VERSION,
-                               "snapshots": self._entries})
         if self._log.fsync:
-            fsync_dir(self.path)  # both renames durable before any unlink
+            fsync_dir(self.path)  # the rename durable before any unlink
         for entry in pruned:
             (self.path / entry["name"]).unlink(missing_ok=True)
         self._log.drop_segments_before(self._gc_version(version),

@@ -4,15 +4,17 @@ The builder's :class:`~repro.core.store.OntologyDelta` batches are the
 system of record (DESIGN.md §4); this module gives them a crash-safe
 on-disk form a serving fleet can be fed from:
 
-* **Segments** — deltas append to ``seg-<n>.jsonl`` files (one canonical
-  JSON line per delta, :func:`~repro.core.serialize.delta_to_json_line`);
-  when the active segment would exceed ``segment_max_bytes`` the log
-  rolls to a new one.  Whole segments are the unit of retention: the
-  catalog garbage-collects folded segments, never individual records.
-* **Manifest** — ``MANIFEST.json`` records the live segment list and
-  each segment's base version, rewritten atomically (temp + rename) on
-  roll and GC.  Appends never touch it; the scan on open re-derives the
-  active segment's bounds.
+* **Segments** — deltas append to ``seg-<base_version:012d>.jsonl``
+  files (one canonical JSON line per delta,
+  :func:`~repro.core.serialize.delta_to_json_line`); when the active
+  segment would exceed ``segment_max_bytes`` the log rolls to a new one
+  named by the version it starts at.  Whole segments are the unit of
+  retention: the catalog garbage-collects folded segments, never
+  individual records.
+* **Names are the metadata** — the sorted ``seg-*.jsonl`` listing is
+  the segment list and each file name is its segment's base version, so
+  there is no second copy to keep in sync: opening a log lists the
+  directory and scans the segments, and a clean reopen writes nothing.
 * **Contiguity on append** — the log accepts exactly the stream
   discipline :meth:`OntologyStore.apply_delta` enforces: a batch must
   start at the log's last version (duplicates are skipped, gaps and
@@ -23,9 +25,12 @@ on-disk form a serving fleet can be fed from:
   segment back to its last intact, contiguous record, so replay after a
   crash reproduces exactly the committed prefix.
 * **fsync-on-commit** — with ``fsync=True`` every append flushes and
-  fsyncs before returning (and rolls fsync the directory entry), giving
-  power-loss durability at the cost of write latency; the default only
-  flushes to the OS, which survives process crashes but not power loss.
+  fsyncs before returning, a roll fsyncs the sealed segment before it
+  creates the next one and fsyncs the directory, and GC unlinks the
+  oldest segments first and then fsyncs the directory, so a power loss
+  part-way leaves a contiguous suffix of segments — still a valid log.
+  The default only flushes to the OS, which survives process crashes
+  but not power loss.
 
 One process writes; any number of readers consume via :meth:`read`
 range reads (the publisher), or out-of-process through
@@ -35,37 +40,61 @@ range reads (the publisher), or out-of-process through
 from __future__ import annotations
 
 import bisect
-import json
+import errno
 import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..core.serialize import (
-    delta_from_json_line,
-    delta_to_dict,
-    delta_to_json_line,
-)
+from ..core.serialize import delta_from_json_line, delta_to_json_line
 from ..core.store import OntologyDelta
 from ..errors import DeltaGapError, OntologyError
 
-LOG_FORMAT_VERSION = 1
 _SEGMENT_GLOB = "seg-*.jsonl"
-_MANIFEST = "MANIFEST.json"
 
 
 def fsync_dir(path: "str | os.PathLike") -> None:
-    """Make a directory's entries (creates, renames, unlinks) durable."""
+    """Make a directory's entries (creates, renames, unlinks) durable.
+
+    Only a platform that cannot fsync a directory is tolerated (no
+    directory fds, or ``EINVAL`` from fsync); any other error, ``EIO``
+    included, raises — the entries may not be on disk.
+    """
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:  # platform without directory fds
         return
     try:
         os.fsync(fd)
-    except OSError:
-        pass
+    except OSError as exc:
+        if exc.errno != errno.EINVAL:
+            raise
     finally:
         os.close(fd)
+
+
+def reject_manifest_layout(directory: pathlib.Path) -> None:
+    """Refuse a directory written by the older manifest layout, whose
+    ordinal segment names (``seg-000001.jsonl``) would otherwise read as
+    base versions and be truncated as non-contiguous."""
+    for name in ("MANIFEST.json", "CATALOG.json"):
+        if (directory / name).exists():
+            raise OntologyError(
+                f"{directory} holds {name}: it was written by the older "
+                f"manifest-based log format, which this version does not "
+                f"read — rebuild into a fresh directory")
+
+
+def _segment_name(base_version: int) -> str:
+    return f"seg-{base_version:012d}.jsonl"
+
+
+def _segment_base(name: str) -> int:
+    digits = name[len("seg-"):-len(".jsonl")]
+    if len(digits) != 12 or not digits.isdigit():
+        raise OntologyError(
+            f"{name} is not a seg-<base_version:012d>.jsonl segment")
+    return int(digits)
 
 
 @dataclass
@@ -102,9 +131,9 @@ class DeltaLog:
             holds at least one record and the next append would push it
             past this size.
         fsync: fsync every committed append (power-loss durability).
-        readonly: open without the destructive parts of recovery — no
-            tail truncation, no manifest rewrite, no orphan removal —
-            and with every mutator disabled.  This is the mode for a
+        readonly: open without writing anything — no tail truncation,
+            no first segment created in an empty directory — and with
+            every mutator disabled.  This is the mode for a
             *reader of someone else's log* (``serve --from-log`` next
             to a live builder): a half-written in-flight record is
             simply ignored instead of being mistaken for a torn write
@@ -124,6 +153,7 @@ class DeltaLog:
                     f"no delta log directory at {self.path}")
         else:
             self.path.mkdir(parents=True, exist_ok=True)
+        reject_manifest_layout(self.path)
         self._segment_max_bytes = segment_max_bytes
         self._fsync = fsync
         self._segments: list[SegmentInfo] = []
@@ -136,79 +166,47 @@ class DeltaLog:
     # open / recover
     # ------------------------------------------------------------------
     def recover(self) -> dict:
-        """Scan the directory, repair a torn tail, rebuild bookkeeping.
+        """Scan the segments, repair a torn tail, rebuild bookkeeping.
 
-        Returns a report ``{"segments", "dropped_lines", "dropped_ops",
-        "truncated_bytes", "removed_segments"}``; the same dict is kept
-        on :attr:`last_recovery`.  A torn (partially written) last line
-        of the final segment — the only damage a killed writer can
-        inflict — is truncated away; a segment left from an interrupted
-        GC (on disk but dropped from the manifest) is removed.  A
-        read-only log performs the same analysis without repairing: the
-        torn/in-flight tail is excluded from the readable range and
-        orphans are skipped, but no file is written.
+        The sorted ``seg-*.jsonl`` listing is the segment list and each
+        file name gives its segment's base version; every segment must
+        start where the previous one ended.  Returns a report
+        ``{"segments", "dropped_lines", "dropped_ops",
+        "truncated_bytes"}``; the same dict is kept on
+        :attr:`last_recovery`.  A torn (partially written) last line of
+        the final segment — the only damage a killed writer can inflict
+        — is truncated away; an empty directory gets its first segment.
+        A read-only log performs the same analysis without writing: the
+        torn/in-flight tail is excluded from the readable range.
         """
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        manifest = self._read_manifest()
-        on_disk = sorted(p.name for p in self.path.glob(_SEGMENT_GLOB))
-        listed = [entry["name"] for entry in manifest.get("segments", [])]
-        removed: list[str] = []
-        if listed:
-            # Files sorting before the manifest's first segment were
-            # GC'd but survived a crash between manifest write + unlink.
-            for name in list(on_disk):
-                if name < listed[0]:
-                    if not self._readonly:
-                        (self.path / name).unlink()
-                        removed.append(name)
-                    on_disk.remove(name)
-        # A manifest entry without a file (crash between manifest write
-        # and file creation on roll) is an empty active segment.
-        names = sorted(set(on_disk) | set(listed))
-        base_by_name = {e["name"]: e.get("base_version")
-                        for e in manifest.get("segments", [])}
-
+        self._release_handle()
+        names = sorted(p.name for p in self.path.glob(_SEGMENT_GLOB))
         report = {"segments": 0, "dropped_lines": 0, "dropped_ops": 0,
-                  "truncated_bytes": 0, "removed_segments": removed}
+                  "truncated_bytes": 0}
         self._segments = []
-        version = None
         for index, name in enumerate(names):
-            is_last = index == len(names) - 1
-            base = base_by_name.get(name)
-            if version is None:
-                version = base if base is not None else 0
-            elif base is not None and base != version:
+            base = _segment_base(name)
+            if self._segments and base != self.last_version:
                 raise OntologyError(
                     f"delta log segment {name} starts at version {base}, "
-                    f"expected {version} — segments are not contiguous"
+                    f"expected {self.last_version} — segments are not "
+                    f"contiguous"
                 )
-            info, version = self._scan_segment(name, version, is_last,
-                                               report)
-            self._segments.append(info)
-        if not self._segments:
-            if self._readonly:
-                self._segments.append(SegmentInfo("seg-000001.jsonl",
-                                                  0, 0, 0, 0))
-            else:
-                self._segments.append(self._create_segment(0))
+            self._segments.append(self._scan_segment(
+                name, base, index == len(names) - 1, report))
+        if not self._segments and self._readonly:
+            self._segments.append(SegmentInfo(_segment_name(0), 0, 0, 0, 0))
+        elif not self._segments:
+            self._start_segment(0)
         report["segments"] = len(self._segments)
-        if not self._readonly:
-            self._write_manifest()
         self.last_recovery = report
         return report
 
     def _scan_segment(self, name: str, base_version: int, is_last: bool,
-                      report: dict) -> "tuple[SegmentInfo, int]":
+                      report: dict) -> SegmentInfo:
         """Parse one segment; on the last segment, truncate a torn or
         non-contiguous tail back to the last good record."""
         path = self.path / name
-        if not path.exists():
-            if not self._readonly:
-                path.touch()
-            return (SegmentInfo(name, base_version, base_version, 0, 0),
-                    base_version)
         raw = path.read_bytes()
         version = base_version
         good_bytes = 0
@@ -257,7 +255,7 @@ class DeltaLog:
                     if self._fsync:
                         os.fsync(handle.fileno())
         return SegmentInfo(name, base_version, version, good_bytes,
-                           deltas, index), version
+                           deltas, index)
 
     # ------------------------------------------------------------------
     # bounds / introspection
@@ -381,30 +379,30 @@ class DeltaLog:
             )
 
     def _roll(self) -> None:
+        self._release_handle()  # the sealed segment is durable first
+        self._start_segment(self.last_version)
+
+    def _start_segment(self, version: int) -> None:
+        """Create an empty active segment at ``version`` and make its
+        name durable."""
+        self._segments.append(
+            SegmentInfo(_segment_name(version), version, version, 0, 0))
+        self._active_handle()
+        if self._fsync:
+            fsync_dir(self.path)
+
+    def _active_handle(self):
+        if self._handle is None:
+            self._handle = open(self.path / self._segments[-1].name, "ab")
+        return self._handle
+
+    def _release_handle(self) -> None:
         if self._handle is not None:
             self._handle.flush()
             if self._fsync:
                 os.fsync(self._handle.fileno())
             self._handle.close()
             self._handle = None
-        self._segments.append(self._create_segment(self.last_version))
-        self._write_manifest()
-        if self._fsync:
-            fsync_dir(self.path)
-
-    def _create_segment(self, base_version: int) -> SegmentInfo:
-        ordinal = 1
-        if self._segments:
-            last_name = self._segments[-1].name
-            ordinal = int(last_name.split("-")[1].split(".")[0]) + 1
-        name = f"seg-{ordinal:06d}.jsonl"
-        (self.path / name).touch()
-        return SegmentInfo(name, base_version, base_version, 0, 0)
-
-    def _active_handle(self):
-        if self._handle is None:
-            self._handle = open(self.path / self._segments[-1].name, "ab")
-        return self._handle
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -468,39 +466,16 @@ class DeltaLog:
         if not candidates:
             return []
         dropped = [seg.name for seg in candidates]
-        self._segments = [seg for seg in self._segments
-                          if seg.name not in set(dropped)]
-        self._write_manifest()  # manifest first: a crash here leaves
-        for name in dropped:    # orphans recover() removes on next open
-            (self.path / name).unlink()
+        del self._segments[:len(dropped)]
+        for name in dropped:  # oldest first: a crash part-way leaves a
+            (self.path / name).unlink()  # contiguous suffix, a valid log
         if self._fsync:
             fsync_dir(self.path)
         return dropped
 
     # ------------------------------------------------------------------
-    # manifest / lifecycle
+    # lifecycle
     # ------------------------------------------------------------------
-    def _read_manifest(self) -> dict:
-        path = self.path / _MANIFEST
-        if not path.exists():
-            return {}
-        data = json.loads(path.read_text())
-        if data.get("format") != LOG_FORMAT_VERSION:
-            raise OntologyError(
-                f"unsupported delta log format: {data.get('format')!r}")
-        return data
-
-    def _write_manifest(self) -> None:
-        payload = {
-            "format": LOG_FORMAT_VERSION,
-            "segments": [{"name": seg.name,
-                          "base_version": seg.base_version}
-                         for seg in self._segments],
-        }
-        tmp = self.path / (_MANIFEST + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        os.replace(tmp, self.path / _MANIFEST)
-
     def sync(self) -> None:
         """Flush and fsync the active segment (regardless of ``fsync``)."""
         if self._handle is not None:
@@ -511,12 +486,7 @@ class DeltaLog:
         if self._closed:
             return
         self._closed = True
-        if self._handle is not None:
-            self._handle.flush()
-            if self._fsync:
-                os.fsync(self._handle.fileno())
-            self._handle.close()
-            self._handle = None
+        self._release_handle()
 
     def __enter__(self) -> "DeltaLog":
         return self

@@ -118,15 +118,12 @@ class TestCli:
             main([])
 
     def test_build_wrote_delta_log_with_snapshot(self, log_dir, capsys):
-        import json
-        import pathlib
+        from repro.replication import DeltaLog, SnapshotCatalog
 
-        log_path = pathlib.Path(log_dir)
-        manifest = json.loads((log_path / "MANIFEST.json").read_text())
-        assert manifest["segments"]
-        catalog = json.loads(
-            (log_path / "snapshots" / "CATALOG.json").read_text())
-        assert catalog["snapshots"]  # --compact-bytes 1 forced a fold
+        log = DeltaLog(log_dir, readonly=True)
+        assert log.segments()
+        catalog = SnapshotCatalog(log, readonly=True)
+        assert catalog.snapshots()  # --compact-bytes 1 forced a fold
 
     def test_serve_from_log_compares_clean(self, log_dir, capsys):
         rc = main(["serve", "--from-log", log_dir, "--shards", "2",

@@ -190,6 +190,35 @@ def test_one_snapshot_format():
     assert not offenders, offenders
 
 
+#: Text only a log or catalog with a metadata file beside its names needs.
+_METADATA_FILES = ("MANIFEST.json", "CATALOG.json")
+_METADATA_CODE = ("_write_manifest", "LOG_FORMAT_VERSION",
+                  "CATALOG_FORMAT_VERSION")
+
+
+def test_file_names_are_the_log_metadata():
+    """Structure guard: a segment's file name is its base version and a
+    snapshot's is its version.  The old metadata file names appear only
+    in ``reject_manifest_layout`` (which refuses such a directory), and
+    nothing that wrote or versioned those files remains."""
+    src = _repo_root() / "src" / "repro"
+    log = src / "replication" / "log.py"
+    check = next(node for node in ast.walk(ast.parse(log.read_text()))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "reject_manifest_layout")
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            inside = path == log and \
+                check.lineno <= lineno <= check.end_lineno
+            offenders += [f"{path.name}:{lineno} {word}"
+                          for word in _METADATA_FILES
+                          if word in line and not inside]
+            offenders += [f"{path.name}:{lineno} {word}"
+                          for word in _METADATA_CODE if word in line]
+    assert not offenders, offenders
+
+
 def test_ci_installs_every_third_party_import():
     """Every top-level module the test, benchmark and bench trees import
     is stdlib, first-party, or on the CI workflow's pip install line —

@@ -7,8 +7,13 @@ and catalog fixture directories are created under it (instead of pytest
 tmp dirs) so CI can upload them as artifacts on failure.
 """
 
+import contextlib
+import errno
 import os
 import pathlib
+import re
+import stat
+import sys
 
 import pytest
 
@@ -314,6 +319,135 @@ class TestCrashDurability:
         assert recovered.last_recovery["truncated_bytes"] == 0
         assert [d.version for d in recovered.read(0)] == \
             [d.version for d in deltas]
+
+
+# ----------------------------------------------------------------------
+# file names are the only log / catalog metadata
+# ----------------------------------------------------------------------
+_WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND
+_audited: "list | None" = None
+
+
+def _audit_writes(event: str, args: tuple) -> None:
+    if _audited is not None and (
+            (event == "open" and args[2] & _WRITE_FLAGS)
+            or event in ("os.rename", "os.remove", "os.truncate")):
+        _audited.append((event, str(args[0])))
+
+
+@contextlib.contextmanager
+def _writes_under(root: pathlib.Path):
+    """Collect the open-for-write, rename, unlink and truncate calls the
+    block issues under ``root``, through a process-wide audit hook that
+    is inert outside such a block."""
+    global _audited
+    if not getattr(_audit_writes, "installed", False):
+        sys.addaudithook(_audit_writes)
+        _audit_writes.installed = True
+    _audited, seen = [], []
+    try:
+        yield seen
+    finally:
+        seen += [event for event in _audited
+                 if event[1].startswith(str(root))]
+        _audited = None
+
+
+class TestNamesAreTheMetadata:
+    def test_segments_and_snapshots_named_by_version(self,
+                                                     producer_and_deltas,
+                                                     log_dir):
+        _producer, deltas = producer_and_deltas
+        log = DeltaLog(log_dir, segment_max_bytes=256)
+        log.extend(deltas)
+        catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=1)
+        catalog.record(OntologyStore.bootstrap(None, deltas))
+        assert sorted(p.name for p in log.path.glob("*.jsonl")) == \
+            [f"seg-{seg.base_version:012d}.jsonl" for seg in log.segments()]
+        assert sorted(p.name for p in catalog.path.iterdir()) == \
+            [f"snapshot-{deltas[-1].version:012d}.json"]
+        assert catalog.snapshots() == [catalog.latest_entry()] == [
+            {"name": f"snapshot-{deltas[-1].version:012d}.json",
+             "version": deltas[-1].version}]
+
+    def test_clean_reopen_writes_nothing(self, producer_and_deltas,
+                                         log_dir):
+        """Opening a clean log and catalog lists the directory and scans
+        the segments; it opens nothing for writing, renames nothing and
+        unlinks nothing."""
+        _producer, deltas = producer_and_deltas
+        log = DeltaLog(log_dir, segment_max_bytes=256, fsync=True)
+        log.extend(deltas[:2])
+        SnapshotCatalog(log, compact_bytes=1, retain_segments=1).record(
+            OntologyStore.bootstrap(None, deltas[:2]))
+        log.append(deltas[2])
+        log.close()
+        with _writes_under(log_dir) as writes:
+            reopened = DeltaLog(log_dir, segment_max_bytes=256, fsync=True)
+            catalog = SnapshotCatalog(reopened, compact_bytes=1)
+            reopened.close()
+        assert writes == []
+        assert reopened.last_version == deltas[-1].version
+        assert catalog.latest_version == deltas[1].version
+
+    def test_manifest_layout_directory_rejected(self, producer_and_deltas,
+                                                log_dir):
+        """A directory written by the older manifest layout (ordinal
+        segment names, ``MANIFEST.json``, ``snapshots/CATALOG.json``)
+        raises a typed error naming it and is never truncated: its
+        ``seg-000001.jsonl`` must not be read as base version 1."""
+        from repro.core.serialize import delta_to_json_line
+
+        _producer, deltas = producer_and_deltas
+        log_dir.mkdir(parents=True, exist_ok=True)
+        segment = log_dir / "seg-000001.jsonl"
+        segment.write_text("".join(delta_to_json_line(delta) + "\n"
+                                   for delta in deltas))
+        (log_dir / "MANIFEST.json").write_text(
+            '{"format": 1, "segments": [{"base_version": 0, '
+            '"name": "seg-000001.jsonl"}]}\n')
+        before = segment.read_bytes()
+        for readonly in (False, True):
+            with pytest.raises(OntologyError,
+                               match=re.escape(f"{log_dir} holds "
+                                               f"MANIFEST.json")):
+                DeltaLog(log_dir, readonly=readonly)
+        (log_dir / "MANIFEST.json").unlink()
+        with pytest.raises(OntologyError, match="seg-000001.jsonl"):
+            DeltaLog(log_dir)  # an ordinal name is not a base version
+        assert segment.read_bytes() == before
+
+        fresh = DeltaLog(log_dir / "fresh")
+        (fresh.path / "snapshots").mkdir()
+        (fresh.path / "snapshots" / "CATALOG.json").write_text("{}\n")
+        for readonly in (False, True):
+            with pytest.raises(OntologyError, match="CATALOG.json"):
+                SnapshotCatalog(fresh, readonly=readonly)
+
+    def test_directory_fsync_errors_raise(self, producer_and_deltas,
+                                          log_dir, monkeypatch):
+        """Regression: ``fsync_dir`` swallowed every ``OSError``, EIO
+        included, so a roll on an fsyncing log could report success
+        with the new segment's name not on disk.  Only ``EINVAL`` (a
+        directory cannot be fsynced here) is tolerated."""
+        _producer, deltas = producer_and_deltas
+        log = DeltaLog(log_dir, segment_max_bytes=1, fsync=True)
+        log.append(deltas[0])
+        real_fsync = os.fsync
+
+        def failing(code: int):
+            def fsync(fd):
+                if stat.S_ISDIR(os.fstat(fd).st_mode):
+                    raise OSError(code, os.strerror(code))
+                real_fsync(fd)
+            return fsync
+
+        monkeypatch.setattr(os, "fsync", failing(errno.EINVAL))
+        assert log.append(deltas[1]) is True  # rolls; EINVAL tolerated
+        monkeypatch.setattr(os, "fsync", failing(errno.EIO))
+        with pytest.raises(OSError) as raised:
+            log.append(deltas[2])  # rolls again
+        assert raised.value.errno == errno.EIO
 
 
 # ----------------------------------------------------------------------

@@ -117,6 +117,32 @@ class TestSerialization:
         assert data["format"] == 1
         assert len(data["nodes"]) == len(ontology)
 
+    def test_failed_save_leaves_previous_file(self, ontology, tmp_path,
+                                              monkeypatch):
+        """Regression: ``save_ontology`` / ``save_deltas`` wrote their
+        target in place, so an encoder failing part-way left half a file
+        where the loaders look.  The previous file must survive
+        byte-identical and no new loadable file may appear."""
+        from repro.core import serialize
+
+        path = tmp_path / "onto.json"
+        save_ontology(ontology, str(path))
+        before = path.read_bytes()
+        to_dict, delta_to_dict = serialize.store_to_dict, \
+            serialize.delta_to_dict
+        monkeypatch.setattr(serialize, "store_to_dict", lambda store: dict(
+            to_dict(store), zz_unencodable=object()))
+        monkeypatch.setattr(serialize, "delta_to_dict", lambda delta: dict(
+            delta_to_dict(delta), zz_unencodable=object()))
+        with pytest.raises(TypeError):
+            save_ontology(ontology, str(path))
+        delta = store_to_delta(ontology.store)
+        with pytest.raises(TypeError):
+            serialize.save_deltas([delta, delta], str(tmp_path / "d.json"))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == \
+            ["onto.json"]
+
     def test_unknown_version_rejected(self):
         with pytest.raises(OntologyError):
             store_from_dict({"format": 99, "store_version": 0, "counter": 0,
