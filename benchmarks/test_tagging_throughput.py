@@ -230,7 +230,6 @@ def test_async_concurrent_streams_throughput(service_and_corpus):
 
     async def run():
         async with AsyncOntologyService(service, max_batch_size=4 * chunk,
-                                        max_delay=0.002,
                                         registry=registry) as aio:
             start = time.perf_counter()
             results = await asyncio.gather(

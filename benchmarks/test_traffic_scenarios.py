@@ -192,7 +192,6 @@ def _run_scenarios(backend, tier: str, world: dict,
 
         async def drive() -> None:
             async with AsyncOntologyService(backend, max_batch_size=16,
-                                            max_delay=0.002,
                                             registry=registry) as service:
                 await _drive_scenario(service, scenario, world, registry,
                                       collector, seed=seed)

@@ -36,8 +36,7 @@ async def client_stream(aio, corpus, stream_id: int):
 async def main_async(replica, ner, deltas, corpus, queries) -> None:
     sync_tagged = replica.tag_documents(corpus)
 
-    async with AsyncOntologyService(replica, max_batch_size=16,
-                                    max_delay=0.002) as aio:
+    async with AsyncOntologyService(replica, max_batch_size=16) as aio:
         # --- eight concurrent client streams over one replica.
         results = await asyncio.gather(
             *[client_stream(aio, corpus, i) for i in range(NUM_STREAMS)])

@@ -135,7 +135,7 @@ def main() -> None:
                     await aio.stats()
 
         async def drive():
-            async with AsyncOntologyService(remote, max_delay=0.002) as aio:
+            async with AsyncOntologyService(remote) as aio:
                 await asyncio.gather(tag_stream(aio), query_stream(aio),
                                      query_stream(aio), stats_stream(aio))
 
@@ -189,7 +189,7 @@ def main() -> None:
             print(f"  slo {verdict['slo']}: {verdict['verdict']}")
 
         # --- the flight recorder has been ringing up events from the
-        # same load (deadline flushes, stragglers, ...).  Restart a
+        # same load (scatter stragglers, ...).  Restart a
         # shard worker: ``worker.restart`` is in the anomaly taxonomy,
         # so the recorder auto-dumps its ring — the black box names the
         # affected component with no debugger attached.

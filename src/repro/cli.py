@@ -315,8 +315,7 @@ def _serve_rpc(backend, host: str, port: int,
 
     async def _run() -> None:
         async with AsyncOntologyService(
-                backend, max_batch_size=args.max_batch_size,
-                max_delay=args.max_delay) as service:
+                backend, max_batch_size=args.max_batch_size) as service:
             server = RpcServer(service, host, port)
             bound_host, bound_port = await server.start()
             print(f"RPC serving on {bound_host}:{bound_port} "
@@ -762,8 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "micro-batched front) instead of exiting")
     p_serve.add_argument("--max-batch-size", type=int, default=32,
                          help="micro-batcher flush size for --listen")
-    p_serve.add_argument("--max-delay", type=float, default=0.005,
-                         help="micro-batcher flush deadline (seconds)")
     p_serve.add_argument("--wire", choices=["json", "binary"],
                          default="json",
                          help="shard-read response encoding for "

@@ -43,14 +43,20 @@ def write_json_atomic(path: "str | os.PathLike", payload: Any, *,
     """Replace ``path`` with ``payload`` as JSON, all or nothing: the
     document is encoded in full, written to ``<path>.tmp`` (fsynced
     when ``fsync``) and renamed over ``path``, so an encoding error or
-    a crash leaves the previous file byte-identical."""
+    a crash leaves the previous file byte-identical.  A write or fsync
+    that raises unlinks the temp before re-raising."""
     text = json.dumps(payload, indent=1, sort_keys=True)
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        if fsync:
-            handle.flush()
-            os.fsync(handle.fileno())
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     os.replace(tmp, path)
 
 

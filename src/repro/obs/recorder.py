@@ -4,9 +4,8 @@ When a check fires in production the question is never "what is the
 state now" but "what did the system *do* just before".  The
 :class:`FlightRecorder` answers it the way an aircraft recorder does:
 every serving layer reports structured events into one bounded ring —
-request errors and slow calls (``rpc.py``), batcher deadline flushes
-(``batcher.py``), scatter stragglers (``cluster/shards.py``), ring-epoch
-flips, worker restarts and ``DeltaGapError`` re-bootstraps
+request errors and slow calls (``rpc.py``), scatter stragglers
+(``cluster/shards.py``), ring-epoch flips, worker restarts and ``DeltaGapError`` re-bootstraps
 (``cluster/remote.py``, ``replication``), view rehydrates
 (``views/catalog.py``) — and the ring holds the last N of them at all
 times, costing one lock and one deque append per event.

@@ -27,10 +27,11 @@ whole-ontology format, in ``snapshot-<version:012d>.json``: the sorted
 listing is the catalog and each file name gives its snapshot's version.
 A snapshot is written to a temp file and renamed into place
 (:func:`~repro.core.serialize.write_json_atomic`); the rename is its
-commit point.  On a log opened with ``fsync=True`` the snapshot file and
-then the snapshot directory are fsynced before any old snapshot is
-pruned or folded segment unlinked, so a power loss can never keep the
-GC and lose the snapshot that made it safe.
+commit point, and a writable open unlinks any temp a crash left behind.
+On a log opened with ``fsync=True`` the snapshot file and then the
+snapshot directory are fsynced before any old snapshot is pruned or
+folded segment unlinked, so a power loss can never keep the GC and lose
+the snapshot that made it safe.
 
 A follower cold-starts from ``latest()`` snapshot + ``log.read(version)``
 tail — :meth:`OntologyStore.bootstrap` — with state identical to a full
@@ -85,6 +86,11 @@ class SnapshotCatalog:
         if not readonly:
             self.path.mkdir(parents=True, exist_ok=True)
         reject_manifest_layout(self.path)
+        if not readonly:
+            # A crash between a snapshot's temp write and its rename
+            # leaves the temp behind; it was never committed.
+            for stale in self.path.glob("snapshot-*.json.tmp"):
+                stale.unlink()
         self._compact_bytes = compact_bytes
         self._retain_segments = retain_segments
         self._retain_snapshots = retain_snapshots

@@ -12,8 +12,9 @@ the ``OntologyService`` API:
   event loop instead of serializing behind a blocking call;
 * batchable endpoints (``tag_documents`` / ``interpret_queries``) funnel
   through a bounded :class:`~repro.serving.batcher.MicroBatcher` that
-  merges concurrent requests into larger backend batches (flush on
-  max-batch-size or max-latency deadline) executed on a worker thread;
+  merges concurrent requests into larger backend batches (it drains
+  what is already queued, up to max-batch-size, and never waits for
+  more) executed on a worker thread;
 * point endpoints (neighborhood, profiles, stories) ride the same
   serialized queue, so the single-threaded sync backend never sees
   concurrent access;
@@ -64,9 +65,8 @@ class AsyncOntologyService:
     Args:
         backend: any object with the :class:`OntologyService` API —
             a single-store service or a :class:`ClusterService`.
-        max_batch_size / max_delay / max_queue: forwarded to the
-            :class:`MicroBatcher` (items per merged batch, flush
-            deadline in seconds, request-queue bound).
+        max_batch_size: items per merged batch, forwarded to the
+            :class:`MicroBatcher`.
         registry: metrics registry for this façade's ``aio`` scope and
             its batcher's child scope; defaults to the process registry.
 
@@ -75,14 +75,12 @@ class AsyncOntologyService:
     """
 
     def __init__(self, backend, *, max_batch_size: int = 32,
-                 max_delay: float = 0.005, max_queue: int = 1024,
                  registry: "MetricsRegistry | None" = None) -> None:
         self._backend = backend
         self._registry = registry if registry is not None else get_registry()
         self._metrics = self._registry.scope("aio")
         self._batcher = MicroBatcher(
             self._execute, max_batch_size=max_batch_size,
-            max_delay=max_delay, max_queue=max_queue,
             metrics=self._metrics.scope("batcher"),
         )
 

@@ -9,11 +9,12 @@ funnel between the two worlds:
 
 * callers ``await submit(kind, items)`` — requests enter a **bounded**
   :class:`asyncio.Queue` (backpressure instead of unbounded growth);
-* a dispatcher coroutine drains the queue, **merging** consecutive
-  requests of the same mergeable ``kind`` until the batch reaches
-  ``max_batch_size`` items or ``max_delay`` seconds have passed since
-  the first request — whichever comes first (the classic
-  size-or-deadline flush);
+* a dispatcher coroutine takes the first request, then drains only
+  what is **already queued**, merging consecutive requests of the same
+  mergeable ``kind`` until the batch reaches ``max_batch_size`` items,
+  the queue runs empty or a different kind is next — and flushes at
+  once.  It never waits for more requests: they merge under load
+  because they queue while the worker executes the previous batch;
 * each merged batch executes via ``execute(kind, items)`` on a single
   worker thread, and the aligned result list is scattered back to every
   caller's future by its slice.
@@ -33,7 +34,6 @@ from typing import Any, Callable, Sequence
 
 from ..errors import ReproError
 from ..obs.metrics import Scope, get_registry
-from ..obs.recorder import get_recorder
 from ..obs.tracing import (
     TraceContext,
     current_context,
@@ -63,19 +63,19 @@ class _Request:
 
 _SHUTDOWN = object()
 
+#: Request-queue bound; ``submit`` applies backpressure (awaits) when
+#: the queue is full.
+_MAX_QUEUE = 1024
+
 
 class MicroBatcher:
-    """Bounded request queue with size-or-deadline batch flushing.
+    """Bounded request queue that batches what is already queued.
 
     Args:
         execute: ``execute(kind, items) -> Sequence`` run on the worker
             thread; must return one result per item, in order.
         max_batch_size: flush a merged batch once it holds this many
-            items (documents/queries), even if the deadline is not up.
-        max_delay: seconds to wait for more mergeable requests after the
-            first item of a batch arrives before flushing anyway.
-        max_queue: request-queue bound; ``submit`` applies backpressure
-            (awaits) when the queue is full.
+            items (documents/queries), even if more are queued.
         metrics: registry :class:`~repro.obs.metrics.Scope` for the
             batcher's counters/histograms (queue depth, queue wait,
             batch size, flush reason); defaults to a fresh ``batcher``
@@ -83,17 +83,12 @@ class MicroBatcher:
     """
 
     def __init__(self, execute: "Callable[[str, list], Sequence]", *,
-                 max_batch_size: int = 32, max_delay: float = 0.005,
-                 max_queue: int = 1024,
+                 max_batch_size: int = 32,
                  metrics: "Scope | None" = None) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if max_delay < 0:
-            raise ValueError("max_delay must be non-negative")
         self._execute = execute
         self._max_batch_size = max_batch_size
-        self._max_delay = max_delay
-        self._max_queue = max_queue
         self._queue: "asyncio.Queue | None" = None
         self._task: "asyncio.Task | None" = None
         self._loop: "asyncio.AbstractEventLoop | None" = None
@@ -106,6 +101,9 @@ class MicroBatcher:
         self._batches = self._metrics.counter("batches")
         self._items = self._metrics.counter("items")
         self._size_flushes = self._metrics.counter("size_flushes")
+        # Batches flushed because nothing mergeable was queued.  The name
+        # predates that meaning and stays: bench/ and dashboards read the
+        # series by key.
         self._deadline_flushes = self._metrics.counter("deadline_flushes")
         # Flushes forced by a kind change / non-mergeable request (the
         # carry path) or by shutdown — previously uncounted.
@@ -122,7 +120,7 @@ class MicroBatcher:
             raise ReproError("MicroBatcher is closed")
         if self._task is None:
             self._loop = loop
-            self._queue = asyncio.Queue(maxsize=self._max_queue)
+            self._queue = asyncio.Queue(maxsize=_MAX_QUEUE)
             self._executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-aio")
             self._task = loop.create_task(self._run())
@@ -167,7 +165,7 @@ class MicroBatcher:
         return request
 
     async def _run(self) -> None:
-        loop = self._loop
+        queue = self._queue
         while True:
             request = await self._next_request()
             if request is _SHUTDOWN:
@@ -175,19 +173,12 @@ class MicroBatcher:
             batch = [request]
             size = len(request.items)
             if request.mergeable:
-                deadline = loop.time() + self._max_delay
                 while size < self._max_batch_size:
-                    timeout = deadline - loop.time()
-                    if timeout <= 0:
-                        self._deadline_flush(request.kind, size)
+                    if queue.empty():
+                        self._deadline_flushes.inc()
                         break
-                    try:
-                        nxt = await asyncio.wait_for(self._queue.get(),
-                                                     timeout)
-                    except asyncio.TimeoutError:
-                        self._deadline_flush(request.kind, size)
-                        break
-                    self._queue_depth.set(self._queue.qsize())
+                    nxt = queue.get_nowait()
+                    self._queue_depth.set(queue.qsize())
                     if (nxt is _SHUTDOWN or nxt.kind != request.kind
                             or not nxt.mergeable):
                         self._carry = nxt
@@ -200,16 +191,6 @@ class MicroBatcher:
             else:
                 self._barrier_flushes.inc()
             await self._flush(batch, size)
-
-    def _deadline_flush(self, kind: str, size: int) -> None:
-        """A batch flushed because its latency deadline expired, not
-        because it filled — normal under light load, but a *pattern* of
-        small deadline flushes under heavy load means the flush delay is
-        mistuned, so each one also lands in the flight recorder."""
-        self._deadline_flushes.inc()
-        get_recorder().record("batcher.deadline_flush",
-                              self._metrics.prefix, batch_kind=kind,
-                              items=size)
 
     def _run_batch(self, kind: str, merged: list,
                    ctx: "TraceContext | None") -> Sequence:

@@ -15,10 +15,11 @@ Equal" (OSDI 2014):
   a suffix, in order.
 
 Every distinct state is reopened with ``DeltaLog`` + ``SnapshotCatalog``
-and must (1) open, (2) hold a contiguous stream reaching at least the
-last append that had returned, and (3) fold latest snapshot +
-``log.read(version)`` ``rpc.dumps``-identical to the oracle store at that
-version.  Everything runs in-process on the test's own temp files.
+and must (1) open, leaving no snapshot temp file behind, (2) hold a
+contiguous stream reaching at least the last append that had returned,
+and (3) fold latest snapshot + ``log.read(version)``
+``rpc.dumps``-identical to the oracle store at that version.  Everything
+runs in-process on the test's own temp files.
 
 Honours ``REPRO_REPLICATION_ARTIFACTS``: violating states are written
 under it for replay.
@@ -242,6 +243,8 @@ def _check(log_dir: pathlib.Path, acked: int, oracle: dict) -> None:
     log = DeltaLog(log_dir, segment_max_bytes=SEGMENT_BYTES, fsync=True)
     catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=1,
                               retain_snapshots=1)
+    leftover = sorted(p.name for p in catalog.path.glob("*.tmp"))
+    assert not leftover, f"temp files survive a writable reopen: {leftover}"
     version = log.first_version
     for delta in log.read(log.first_version):
         assert delta.base_version == version, f"stream gap at {version}"
@@ -299,6 +302,9 @@ def test_every_crash_state_reopens_to_the_acked_stream(monkeypatch,
     print(f"\n{len(tracer.states)} distinct crash states from "
           f"{tracer.points} captured points, {len(violations)} violating")
     assert tracer.points > 100 and len(tracer.states) > 50
+    assert any(rel.endswith(".tmp") for state in tracer.states
+               for rel, _data in state), \
+        "some crash state must hold a snapshot temp file"
     assert not violations, (
         f"{len(violations)} of {len(tracer.states)} crash states violate: "
         + "; ".join(f"{problem} [{', '.join(sorted(n for n, _ in state))}]"

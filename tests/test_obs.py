@@ -401,8 +401,7 @@ class TestStatsConsistency:
         async def main():
             running = {"on": True}
             async with AsyncOntologyService(
-                    sync_service, max_delay=0.001,
-                    registry=MetricsRegistry()) as service:
+                    sync_service, registry=MetricsRegistry()) as service:
 
                 async def tag_stream():
                     while running["on"]:

@@ -335,13 +335,11 @@ class TestFlightRecorder:
     def test_anomaly_defaults_follow_the_taxonomy(self):
         recorder = FlightRecorder(clock=FakeClock())
         assert recorder.record("rpc.error", "rpc.server.x")["anomaly"]
-        assert not recorder.record("batcher.deadline_flush",
-                                   "aio.batcher")["anomaly"]
         assert not recorder.record("ring.epoch_flip",
                                    "cluster.parent")["anomaly"]
-        assert recorder.record("batcher.deadline_flush", "aio.batcher",
+        assert recorder.record("ring.epoch_flip", "cluster.parent",
                                anomaly=True)["anomaly"]  # explicit wins
-        assert "batcher.deadline_flush" not in ANOMALY_KINDS
+        assert "ring.epoch_flip" not in ANOMALY_KINDS
 
     def test_anomaly_auto_dump_names_the_component(self, tmp_path):
         clock = FakeClock(1000.0)
@@ -375,7 +373,7 @@ class TestFlightRecorder:
     def test_non_anomalies_never_dump(self, tmp_path):
         recorder = FlightRecorder(str(tmp_path), clock=FakeClock())
         for _ in range(10):
-            recorder.record("batcher.deadline_flush", "aio.batcher")
+            recorder.record("ring.epoch_flip", "cluster.parent")
         assert recorder.dumps_written == 0
 
     def test_dump_without_a_directory(self, tmp_path):
@@ -451,25 +449,6 @@ class TestServingFaults:
         assert dumps, "anomalies must auto-dump when a dir is configured"
         dumped = dumps[-1].read_text(encoding="utf-8")
         assert "rpc.server.neighborhood" in dumped
-
-    def test_deadline_flush_is_recorded(self):
-        configure_recorder(None, process="t")
-
-        class _TagBackend(_FaultyBackend):
-            def tag_documents(self, documents):
-                return ["tagged"] * len(documents)
-
-        async def drive_tag():
-            # a lone mergeable batch can only flush on its deadline
-            async with AsyncOntologyService(
-                    _TagBackend(), max_batch_size=64, max_delay=0.005,
-                    registry=MetricsRegistry()) as service:
-                assert await service.tag_documents(["doc"]) == ["tagged"]
-
-        run_async(drive_tag())
-        events = [e for e in get_recorder().events()
-                  if e["kind"] == "batcher.deadline_flush"]
-        assert events and events[0]["component"] == "aio.batcher"
 
     def test_obs_watch_and_dump_round_trip(self):
         registry = MetricsRegistry()

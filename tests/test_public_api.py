@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import py_compile
 import sys
@@ -217,6 +218,25 @@ def test_file_names_are_the_log_metadata():
             offenders += [f"{path.name}:{lineno} {word}"
                           for word in _METADATA_CODE if word in line]
     assert not offenders, offenders
+
+
+def test_batcher_drains_what_is_queued(capsys):
+    """Structure guard: the micro-batcher never waits for more requests.
+    It has no flush deadline and no knob for one, and its queue bound is
+    a module constant, not an option."""
+    from repro.cli import build_parser
+    from repro.serving import AsyncOntologyService, MicroBatcher
+
+    assert list(inspect.signature(MicroBatcher).parameters) == [
+        "execute", "max_batch_size", "metrics"]
+    assert list(inspect.signature(AsyncOntologyService).parameters) == [
+        "backend", "max_batch_size", "registry"]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["serve", "--help"])
+    assert "delay" not in capsys.readouterr().out
+    source = (_repo_root() / "src" / "repro" / "serving"
+              / "batcher.py").read_text()
+    assert "wait_for" not in source and "sleep" not in source
 
 
 def test_ci_installs_every_third_party_import():

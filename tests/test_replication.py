@@ -9,6 +9,7 @@ tmp dirs) so CI can upload them as artifacts on failure.
 
 import contextlib
 import errno
+import json
 import os
 import pathlib
 import re
@@ -543,6 +544,43 @@ class TestSnapshotCatalog:
                    if kind == "unlink" and name.endswith(".jsonl")]
         assert unlinks, "the record must GC at least one folded segment"
         assert ("fsync", snapshot.stat().st_ino) in events[:unlinks[0]]
+
+    def test_writable_open_unlinks_stale_temps(self, producer_and_deltas,
+                                               log_dir):
+        """A crash between a snapshot's temp write and its rename leaves
+        ``snapshot-<v>.json.tmp``; a writable open unlinks it, a
+        read-only open touches nothing."""
+        _producer, deltas = producer_and_deltas
+        log = DeltaLog(log_dir)
+        log.extend(deltas)
+        catalog = SnapshotCatalog(log, compact_bytes=1)
+        catalog.record(OntologyStore.bootstrap(None, deltas))
+        stale = catalog.path / "snapshot-000000000099.json.tmp"
+        stale.write_text("{")
+        log.close()
+        reader = SnapshotCatalog(DeltaLog(log_dir, readonly=True),
+                                 readonly=True)
+        assert stale.exists()
+        assert reader.latest_version == deltas[-1].version
+        SnapshotCatalog(DeltaLog(log_dir), compact_bytes=1)
+        assert not stale.exists()
+        assert len(list(catalog.path.glob("snapshot-*.json"))) == 1
+
+    def test_failed_atomic_write_leaves_no_temp(self, tmp_path,
+                                                monkeypatch):
+        from repro.core.serialize import write_json_atomic
+
+        target = tmp_path / "doc.json"
+        write_json_atomic(target, {"v": 1})
+
+        def fail(_fd):
+            raise OSError("injected fsync failure")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="injected"):
+            write_json_atomic(target, {"v": 2})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+        assert json.loads(target.read_text()) == {"v": 1}
 
     def test_stale_record_rejected(self, producer_and_deltas, log_dir):
         _producer, deltas = producer_and_deltas

@@ -6,6 +6,7 @@ event loop fails fast instead of wedging CI.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -98,7 +99,7 @@ class TestMicroBatcher:
             return items
 
         async def main():
-            batcher = MicroBatcher(execute, max_batch_size=4, max_delay=0.05)
+            batcher = MicroBatcher(execute, max_batch_size=4)
             results = await asyncio.gather(
                 *[batcher.submit("echo", [i]) for i in range(10)])
             await batcher.close()
@@ -106,27 +107,47 @@ class TestMicroBatcher:
 
         results = run_async(main())
         assert [r for [r] in results] == list(range(10))
-        # 10 singleton requests, all queued before the deadline: flushed
-        # by size — batches of 4, 4, 2 (only the tail waits it out).
+        # 10 singleton requests, all queued before the dispatcher runs:
+        # flushed by size — batches of 4, 4, then the tail of 2 when the
+        # queue runs empty.
         assert [len(batch) for batch in executed] == [4, 4, 2]
 
-    def test_flush_on_deadline(self):
+    def test_requests_queued_during_execution_merge(self):
+        """The dispatcher never waits for more requests: a lone request
+        flushes at once, and what queues while it executes merges into
+        the next batch."""
         executed = []
+        started = threading.Event()
+        release = threading.Event()
 
         def execute(kind, items):
             executed.append(list(items))
+            if items == [0]:
+                started.set()
+                release.wait(ASYNC_TEST_TIMEOUT)
             return items
 
         async def main():
-            batcher = MicroBatcher(execute, max_batch_size=100,
-                                   max_delay=0.005)
-            [result] = await batcher.submit("echo", ["solo"])
+            loop = asyncio.get_running_loop()
+            batcher = MicroBatcher(execute, max_batch_size=100)
+            first = asyncio.ensure_future(batcher.submit("echo", [0]))
+            await loop.run_in_executor(None, started.wait,
+                                       ASYNC_TEST_TIMEOUT)
+            rest = [asyncio.ensure_future(batcher.submit("echo", [i]))
+                    for i in range(1, 5)]
+            while batcher.stats["requests"] < 5:
+                await asyncio.sleep(0)
+            release.set()
+            results = await asyncio.gather(first, *rest)
             await batcher.close()
-            return result
+            return results, batcher.stats
 
-        assert run_async(main()) == "solo"
-        assert executed == [["solo"]]  # nothing else arrived; deadline flushed
-        # (the request completed at all proves the deadline path fires)
+        results, stats = run_async(main())
+        assert [r for [r] in results] == [0, 1, 2, 3, 4]
+        assert executed == [[0], [1, 2, 3, 4]]
+        # both batches flushed because nothing mergeable was queued
+        assert stats["deadline_flushes"] == 2
+        assert stats["size_flushes"] == 0
 
     def test_kind_change_breaks_batch(self):
         executed = []
@@ -136,7 +157,7 @@ class TestMicroBatcher:
             return items
 
         async def main():
-            batcher = MicroBatcher(execute, max_batch_size=100, max_delay=0.05)
+            batcher = MicroBatcher(execute, max_batch_size=100)
             await asyncio.gather(
                 batcher.submit("a", [1]),
                 batcher.submit("a", [2]),
@@ -156,7 +177,7 @@ class TestMicroBatcher:
             return items
 
         async def main():
-            batcher = MicroBatcher(execute, max_batch_size=100, max_delay=10.0)
+            batcher = MicroBatcher(execute, max_batch_size=100)
             await asyncio.gather(
                 *[batcher.submit("solo", [i], mergeable=False)
                   for i in range(3)])
@@ -170,7 +191,7 @@ class TestMicroBatcher:
             raise ValueError("backend exploded")
 
         async def main():
-            batcher = MicroBatcher(execute, max_batch_size=8, max_delay=0.001)
+            batcher = MicroBatcher(execute, max_batch_size=8)
             results = await asyncio.gather(
                 *[batcher.submit("k", [i]) for i in range(3)],
                 return_exceptions=True)
@@ -182,8 +203,7 @@ class TestMicroBatcher:
 
     def test_misaligned_executor_output_rejected(self):
         async def main():
-            batcher = MicroBatcher(lambda kind, items: [], max_batch_size=4,
-                                   max_delay=0.001)
+            batcher = MicroBatcher(lambda kind, items: [], max_batch_size=4)
             with pytest.raises(ReproError, match="0 results for 1 items"):
                 await batcher.submit("k", ["x"])
             await batcher.close()
@@ -226,8 +246,8 @@ class TestAsyncService:
         expected = sync_service.tag_documents(docs)
 
         async def main():
-            async with AsyncOntologyService(sync_service, max_batch_size=16,
-                                            max_delay=0.002) as aio:
+            async with AsyncOntologyService(sync_service,
+                                            max_batch_size=16) as aio:
                 results = await asyncio.gather(
                     *[aio.tag_documents(docs) for _ in range(8)])
                 stats = await aio.stats()
@@ -290,7 +310,7 @@ class TestAsyncService:
         assert before != after  # the refresh is observable
 
         async def main():
-            async with AsyncOntologyService(replica, max_delay=0.002) as aio:
+            async with AsyncOntologyService(replica) as aio:
                 assert await aio.refresh([first]) == 1
                 streams = [aio.interpret_queries(["famous space probes"])
                            for _ in range(4)]
@@ -421,8 +441,8 @@ class TestRpc:
                 return await client.call("tag_documents", docs)
 
         async def main():
-            async with AsyncOntologyService(sync_service, max_batch_size=16,
-                                            max_delay=0.002) as aio:
+            async with AsyncOntologyService(sync_service,
+                                            max_batch_size=16) as aio:
                 server = RpcServer(aio)
                 host, port = await server.start()
                 results = await asyncio.gather(
