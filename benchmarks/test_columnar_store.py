@@ -1,4 +1,4 @@
-"""Columnar segments and the binary shard-read wire (DESIGN.md §10).
+"""Columnar segments and the binary message codec (DESIGN.md §10).
 
 Measures, at a ~10x-scale synthetic ontology:
 
@@ -7,7 +7,8 @@ Measures, at a ~10x-scale synthetic ontology:
   at least 3x denser (structure-dependent, so never timing-gated);
 * snapshot **encode/decode MB/s** for both formats;
 * shard-read RPC response **docs/sec** through the JSON codec vs the
-  negotiated binary frame codec (the timing assertion arms only on >=2
+  binary message codec, which no socket carries any more and which is
+  kept as a measured codec (the timing assertion arms only on >=2
   cores, like the other throughput gates);
 * **round_trip_identical** — both decoders must reproduce inputs
   ``rpc.dumps``-byte-identically; CI fails the job when this flag is

@@ -29,6 +29,7 @@ Run:  python examples/observability.py
 import asyncio
 import json
 import os
+import shutil
 import tempfile
 
 from repro import GiantPipeline, WorldConfig, build_world
@@ -69,7 +70,7 @@ def show(snapshot: dict, keys: "list[str]") -> None:
             print(f"  {key}: {value:g}")
 
 
-def main() -> None:
+def run(log_dir: str) -> None:
     # Arm the tracer first: the env var makes every process spawned
     # below (shard workers inherit the environment) trace into the same
     # directory, one spans-<process>.jsonl each.
@@ -97,8 +98,7 @@ def main() -> None:
         categories=sorted({c[2] for c in world.categories}),
     )
     pipeline.run(sessions=[s for d in days for s in d.sessions])
-    log = DeltaLog(tempfile.mkdtemp(prefix="giant-obs-log-"),
-                   segment_max_bytes=64 * 1024)
+    log = DeltaLog(log_dir, segment_max_bytes=64 * 1024)
     log.extend(pipeline.deltas)
     catalog = SnapshotCatalog(log, compact_bytes=96 * 1024)
     catalog.maybe_compact(pipeline.ontology.store)
@@ -221,6 +221,7 @@ def main() -> None:
         print(f"\nfull registry snapshot dumped to {snap_path}")
 
     collector.stop()
+    log.close()
 
     # --- merge the per-process span logs into one Chrome trace.
     spans = load_spans(trace_dir)
@@ -235,6 +236,16 @@ def main() -> None:
     print(f"{len(roots)} root spans (one per driven request); open "
           f"{chrome_path} in chrome://tracing or ui.perfetto.dev "
           "for the timeline")
+
+
+def main() -> None:
+    # The delta log is scratch; the trace directory is this example's
+    # output and stays.
+    log_dir = tempfile.mkdtemp(prefix="giant-obs-log-")
+    try:
+        run(log_dir)
+    finally:
+        shutil.rmtree(log_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

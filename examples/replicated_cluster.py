@@ -19,6 +19,7 @@ Shows the replication substrate (DESIGN.md §8) end to end:
 Run:  python examples/replicated_cluster.py
 """
 
+import shutil
 import tempfile
 
 from repro import ClusterService, GiantPipeline, OntologyService, WorldConfig, build_world
@@ -31,7 +32,7 @@ from repro.synth.documents import DocumentGenerator
 from repro.synth.querylog import QueryLogGenerator, build_click_graph
 
 
-def main() -> None:
+def run(log_dir: str) -> None:
     world = build_world(WorldConfig(num_days=3, seed=0))
     days = QueryLogGenerator(world).generate_days()
     pos_tagger, ner_tagger = world.register_text_models()
@@ -41,7 +42,6 @@ def main() -> None:
         build_click_graph(days), pos_tagger, ner_tagger,
         categories=sorted({c[2] for c in world.categories}),
     )
-    log_dir = tempfile.mkdtemp(prefix="giant-delta-log-")
     log = DeltaLog(log_dir, segment_max_bytes=64 * 1024)
     catalog = SnapshotCatalog(log, compact_bytes=96 * 1024,
                               retain_segments=1)
@@ -117,7 +117,16 @@ def main() -> None:
     tail = recovered.read(snap_version if snapshot is not None else 0)
     replay = OntologyStore.bootstrap(snapshot, tail)
     assert replay.stats() == pipeline.ontology.stats()
+    recovered.close()
     print("snapshot + recovered tail replays to identical stats")
+
+
+def main() -> None:
+    log_dir = tempfile.mkdtemp(prefix="giant-delta-log-")
+    try:
+        run(log_dir)
+    finally:
+        shutil.rmtree(log_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -379,7 +379,7 @@ async def _drive(schedule: dict, backend, remote: RemoteClusterService,
 
 
 def run_campaign(schedule: dict, log_dir, *, backend_rig=None,
-                 wire: str = "json", name: "str | None" = None) -> dict:
+                 name: "str | None" = None) -> dict:
     """Run one campaign schedule end to end; returns the report dict
     (``violations`` empty on a clean run).  ``backend_rig`` wraps the
     live :class:`RemoteClusterService` before serving — the test hook
@@ -402,8 +402,7 @@ def run_campaign(schedule: dict, log_dir, *, backend_rig=None,
     with PublisherThread(log, catalog) as publisher:
         with RemoteClusterService(publisher.address,
                                   num_shards=start_shards, ner=ner,
-                                  tagger_options=TAGGER_OPTIONS,
-                                  wire=wire) as remote:
+                                  tagger_options=TAGGER_OPTIONS) as remote:
             backend = remote if backend_rig is None else backend_rig(remote)
             audit = AuditLog(publisher.address, ner=ner,
                              tagger_options=TAGGER_OPTIONS)

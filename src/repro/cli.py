@@ -388,10 +388,6 @@ def _serve(args: argparse.Namespace) -> int:
         print("--remote-shards requires --from-log (shard workers "
               "bootstrap from the published delta log)", file=sys.stderr)
         return 2
-    if args.wire == "binary" and not args.remote_shards:
-        print("--wire binary applies to the remote shard-read RPC; "
-              "add --remote-shards N", file=sys.stderr)
-        return 2
 
     if args.trace_dir:
         from .obs import TRACE_DIR_ENV, configure_tracer
@@ -453,7 +449,6 @@ def _serve(args: argparse.Namespace) -> int:
                                            num_shards=args.remote_shards,
                                            ner=ner,
                                            tagger_options=tagger_options,
-                                           wire=args.wire,
                                            trace_dir=args.trace_dir or None,
                                            recorder_dir=args.recorder_dir
                                            or None)
@@ -572,11 +567,10 @@ def _audit(args: argparse.Namespace) -> int:
             rebalance_to=args.rebalance_to, chunk_nodes=args.chunk_nodes,
             sessions=args.sessions)
         if args.log_dir:
-            report = run_campaign(schedule, args.log_dir, wire=args.wire)
+            report = run_campaign(schedule, args.log_dir)
         else:
             with tempfile.TemporaryDirectory(prefix="repro-audit-") as tmp:
-                report = run_campaign(schedule, pathlib.Path(tmp) / "log",
-                                      wire=args.wire)
+                report = run_campaign(schedule, pathlib.Path(tmp) / "log")
     if args.json:
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
@@ -761,13 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "micro-batched front) instead of exiting")
     p_serve.add_argument("--max-batch-size", type=int, default=32,
                          help="micro-batcher flush size for --listen")
-    p_serve.add_argument("--wire", choices=["json", "binary"],
-                         default="json",
-                         help="shard-read response encoding for "
-                              "--remote-shards workers: JSON (default) or "
-                              "negotiated packed-binary frames "
-                              "(byte-identical results; measured slower "
-                              "to encode and decode than JSON)")
     p_serve.add_argument("--trace-dir", default="",
                          help="append request spans to JSON-lines logs "
                               "in this directory (the whole process "
@@ -823,10 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--log-dir", default="",
                          help="directory for the campaign's delta log "
                               "(default: a temporary directory)")
-    p_audit.add_argument("--wire", choices=["json", "binary"],
-                         default="json",
-                         help="shard-read response encoding in the "
-                              "campaign topology")
     p_audit.add_argument("--json", action="store_true",
                          help="print the full campaign report as JSON")
     p_audit.set_defaults(func=_audit)

@@ -198,9 +198,9 @@ class RemoteShardReplica:
     """
 
     def __init__(self, shard_id: int, host: str, port: int,
-                 timeout: float = 120.0, wire: str = "json") -> None:
+                 timeout: float = 120.0) -> None:
         self.shard_id = shard_id
-        self._rpc = BlockingRpcClient(host, port, timeout, wire,
+        self._rpc = BlockingRpcClient(host, port, timeout,
                                       unavailable=self._unavailable)
         # The scatter paths in ShardedStoreView dispatch to every shard
         # first (begin_call) and collect second (finish_call),
@@ -208,11 +208,6 @@ class RemoteShardReplica:
         # blocking round trip per shard.
         self.begin_call = self._rpc.begin_call
         self.finish_call = self._rpc.finish_call
-
-    @property
-    def wire(self) -> str:
-        """The reply encoding negotiated with the worker."""
-        return self._rpc.wire
 
     def _unavailable(self, detail: str) -> ShardUnavailableError:
         """A connection-level failure, typed: the worker process died or
@@ -283,14 +278,6 @@ class RemoteClusterService(ShardedFront):
             max_recommendations / cache_size: as for
             :class:`~repro.serving.service.OntologyService`.
         start_timeout: seconds to wait for every worker to bootstrap.
-        wire: ``"json"`` (default) or ``"binary"`` — the shard-read
-            response encoding each proxy negotiates with its worker
-            (:mod:`repro.serving.rpc` packed binary frames).  Results
-            are byte-identical either way.  Binary is not the faster
-            codec: on the bench world (``bench/run.py --workload
-            rpc_mixed_single --trace 1``, seeds 1-3, 2 cores) a binary
-            reply took 45-57 us to encode and 33-43 us to decode,
-            against 40-49 us and 20-26 us for JSON.
         trace_dir: span-log directory handed to every spawned worker
             (workers also inherit ``REPRO_TRACE_DIR`` from the
             environment; the explicit argument wins).
@@ -311,13 +298,11 @@ class RemoteClusterService(ShardedFront):
                  max_rewrites: int = 5, max_recommendations: int = 5,
                  cache_size: int = 4096,
                  start_timeout: float = 180.0,
-                 wire: str = "json",
                  trace_dir: "str | None" = None,
                  recorder_dir: "str | None" = None,
                  registry: "MetricsRegistry | None" = None) -> None:
         if num_shards <= 0:
             raise OntologyError("a cluster needs at least one shard")
-        self._wire = wire
         self._trace_dir = trace_dir
         self._recorder_dir = recorder_dir
         registry = registry if registry is not None else get_registry()
@@ -356,8 +341,7 @@ class RemoteClusterService(ShardedFront):
                 self._spawn(shard_id)
             ports = self._await_ready(set(range(self._router.num_shards)))
             self._replicas = [
-                RemoteShardReplica(shard_id, "127.0.0.1", ports[shard_id],
-                                   wire=self._wire)
+                RemoteShardReplica(shard_id, "127.0.0.1", ports[shard_id])
                 for shard_id in range(self._router.num_shards)
             ]
             # Workers bootstrapped independently; align them with the
@@ -397,8 +381,7 @@ class RemoteClusterService(ShardedFront):
         """Spawn one worker, wait for its port, connect its proxy."""
         self._spawn(shard_id, seed)
         port = self._await_ready({shard_id})[shard_id]
-        return RemoteShardReplica(shard_id, "127.0.0.1", port,
-                                  wire=self._wire)
+        return RemoteShardReplica(shard_id, "127.0.0.1", port)
 
     def _await_ready(self, expected: "set[int]") -> "dict[int, int]":
         """Collect (shard_id -> port) ready messages for ``expected``."""

@@ -47,9 +47,6 @@ class ShardedFront(OntologyService):
     how a ring flip moves data.
     """
 
-    #: Shard-read reply encoding; ``None`` when shards are in-process.
-    _wire: "str | None" = None
-
     def __init__(self, shards: ShardSet, replicas: list,
                  registry: MetricsRegistry, **service_options: Any) -> None:
         self._shards = shards
@@ -87,8 +84,6 @@ class ShardedFront(OntologyService):
         """Serving stats plus per-shard placement/version lines."""
         stats = super().stats()
         stats["num_shards"] = self.num_shards
-        if self._wire is not None:
-            stats["wire"] = self._wire
         stats["cluster_deltas_applied"] = stats["deltas_applied"]
         stats["ring"] = {"epoch": self._router.epoch,
                          "num_shards": self._router.num_shards,

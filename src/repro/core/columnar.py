@@ -1,8 +1,9 @@
 """Columnar segments and the packed binary value codec (DESIGN.md §10).
 
-Snapshots and shard-read RPC responses both move canonical JSON; this
-module provides two packed alternatives, measured against it — the JSON
-form stays the byte-identity *oracle* the tests check both against:
+Snapshots and every RPC reply move canonical JSON; this module provides
+two packed alternatives, measured against it and used by no store, log
+or socket — the JSON form stays the byte-identity *oracle* the tests
+check both against:
 
 * **Store segments** — a measured codec, not a snapshot format: the
   catalog, the publisher and the CLI write and read only the JSON store
@@ -26,7 +27,10 @@ form stays the byte-identity *oracle* the tests check both against:
   SegmentIntegrityError` — a truncated file is a named error, never a
   struct unpack traceback.
 
-* **Wire values** — :func:`encode_value` / :func:`decode_value` are a
+* **Values** — the perf ledger's probe of a packed RPC reply
+  (``serving.rpc.reply_*_binary_us`` in ``bench/layers.py``, through
+  :func:`repro.serving.rpc.dumps_binary`).
+  :func:`encode_value` / :func:`decode_value` are a
   tagged binary codec over the same Python value domain as
   :mod:`repro.serving.rpc`'s JSON codec (None/bool/int/float/str,
   list/tuple/set/dict, registered enums and dataclasses), with packed

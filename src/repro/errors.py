@@ -94,7 +94,7 @@ class ShardUnavailableError(ReproError):
 
 class SegmentIntegrityError(OntologyError):
     """Raised when a columnar segment (a packed store segment or a binary
-    wire message) fails structural validation — bad magic, an
+    message) fails structural validation — bad magic, an
     unsupported format version, a footer checksum mismatch, or
     truncation.  Named so corruption surfaces as a typed refusal instead
     of a struct unpack traceback; recovery is to re-fetch, never to

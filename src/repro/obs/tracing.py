@@ -11,10 +11,8 @@ any third-party dependency (DESIGN.md §12):
   is explicit (:func:`push_context` / :func:`pop_context`), because
   ``run_in_executor`` does not copy the caller's context;
 * on the wire the context is one optional ``"trace": {"tid", "sid"}``
-  key in the JSON *request* envelope.  Requests are always JSON — even
-  on connections negotiated to binary responses — so one field layout
-  covers both wire formats, and a pre-trace peer simply ignores the
-  unknown key (version skew degrades to untraced, never breaks);
+  key in the JSON *request* envelope; a pre-trace peer simply ignores
+  the unknown key (version skew degrades to untraced, never breaks);
 * a :class:`Tracer` appends finished spans to a JSON-lines log
   (``spans-<process>.jsonl`` under its trace dir, one file per process —
   no cross-process write contention), exportable to Chrome's

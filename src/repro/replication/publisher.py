@@ -326,14 +326,6 @@ class PublisherThread:
         finally:
             try:
                 loop.run_until_complete(self._publisher.close())
-                # Cancel connection handlers still parked on reads so
-                # the loop closes without destroying pending tasks.
-                pending = asyncio.all_tasks(loop)
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True))
             finally:
                 loop.close()
 

@@ -26,21 +26,6 @@ the reproduction's stand-in for the production deployment's Tars RPC:
   :class:`BlockingRpcClient` pipeline requests by id over one
   connection; an error reply is raised through :func:`wire_error`
   (:class:`RpcError`, carrying the original exception type name).
-
-**Binary frames** (DESIGN.md §10) — the outer 4-byte length framing is
-shared by a second body encoding: ``magic (2) + codec version (1) +``
-a :mod:`repro.core.columnar` packed message (string pool + tagged
-value).  A JSON body always starts with ``{`` (0x7b), the binary magic
-is invalid JSON/UTF-8, so every reader sniffs the first bytes
-(:func:`is_binary_frame`) and the two body types coexist on one
-connection.  The binary wire is *negotiated*: a client that wants it
-calls the ``negotiate`` method (a plain JSON request) and the server
-switches that connection's responses to :func:`dumps_binary`; an old
-server answers "unknown RPC method" and the client silently stays on
-JSON — version skew degrades, never hangs.  Requests stay JSON (they
-are small); responses carry the bulk.  ``dumps`` (canonical JSON)
-remains the byte-identity oracle: tests assert the binary path decodes
-to objects whose ``dumps`` equals the JSON path's bytes.
 """
 
 from __future__ import annotations
@@ -78,8 +63,8 @@ from .aio import SERVING_METHODS, AsyncOntologyService
 _MAX_FRAME = 64 * 1024 * 1024  # sanity bound on one message
 _ESCAPE = "__esc__"  # prefix shielding user dict keys from codec markers
 
-#: First bytes of a binary frame body.  0xB1 cannot start UTF-8 JSON
-#: (it is a continuation byte), so sniffing is unambiguous.
+#: First bytes of a :func:`dumps_binary` message.  0xB1 cannot start
+#: UTF-8 JSON (it is a continuation byte), so sniffing is unambiguous.
 BINARY_MAGIC = b"\xb1\xc5"
 BINARY_CODEC_VERSION = 1
 
@@ -198,13 +183,17 @@ def loads(data: bytes) -> Any:
     return decode(json.loads(data.decode("utf-8")))
 
 
+# The packed binary codec below never goes on a socket: every reply is
+# canonical JSON.  It stays as a codec only because bench/layers.py
+# times it (``serving.rpc.reply_{encode,decode}_binary_us``) against
+# ``dumps``/``loads``; it goes with the next change to the benchmark.
 def is_binary_frame(data: bytes) -> bool:
-    """True when a frame body is the packed binary encoding (vs JSON)."""
+    """True when ``data`` is a :func:`dumps_binary` message."""
     return data[:len(BINARY_MAGIC)] == BINARY_MAGIC
 
 
 def dumps_binary(obj: Any) -> bytes:
-    """Packed binary wire bytes for ``obj`` — magic, codec version, then
+    """Packed binary bytes for ``obj`` — magic, codec version, then
     a :mod:`repro.core.columnar` message (string pool + tagged value)
     over the same registered dataclass/enum tables as the JSON codec.
     Unlike :func:`dumps` the value goes in *raw* (no :func:`encode`
@@ -232,10 +221,8 @@ def loads_binary(data: bytes) -> Any:
 
 
 def loads_envelope(frame: bytes) -> dict:
-    """Decode one response envelope of either body type into a dict
-    whose ``result`` (when present) is fully decoded Python objects."""
-    if is_binary_frame(frame):
-        return loads_binary(frame)
+    """Decode one response envelope into a dict whose ``result`` (when
+    present) is fully decoded Python objects."""
     body = json.loads(frame.decode("utf-8"))
     if "result" in body:
         body["result"] = decode(body["result"])
@@ -243,25 +230,22 @@ def loads_envelope(frame: bytes) -> dict:
 
 
 def encode_envelope(request_id, result: Any, error: "dict | None",
-                    binary: bool, stamp: "dict | None" = None) -> bytes:
-    """One response envelope in the connection's negotiated body
-    encoding.  A result the binary codec cannot pack (or, on the JSON
-    side, :func:`encode` cannot lower) degrades to an error envelope
-    rather than killing the connection.  ``stamp`` (the consistency
-    auditor's read stamp: the backend version the call was answered at,
-    plus the caller's session id) rides as an extra plain-dict key in
-    either body encoding, mirroring how ``"trace"`` rides requests."""
+                    stamp: "dict | None" = None) -> bytes:
+    """One canonical-JSON response envelope.  A result :func:`encode`
+    cannot lower degrades to an error envelope rather than killing the
+    connection.  ``stamp`` (the consistency auditor's read stamp: the
+    backend version the call was answered at, plus the caller's session
+    id) rides as an extra plain-dict key, mirroring how ``"trace"``
+    rides requests."""
     if error is None:
         try:
-            body = {"id": request_id,
-                    "result": result if binary else encode(result)}
+            body = {"id": request_id, "result": encode(result)}
             if stamp is not None:
                 body["stamp"] = stamp
-            return dumps_binary(body) if binary else _canonical_bytes(body)
+            return _canonical_bytes(body)
         except Exception as exc:
             error = _error_body(exc)
-    body = {"id": request_id, "error": error}
-    return dumps_binary(body) if binary else _canonical_bytes(body)
+    return _canonical_bytes({"id": request_id, "error": error})
 
 
 def _error_body(exc: Exception) -> dict:
@@ -318,20 +302,6 @@ def wire_error(error: dict) -> RpcError:
     plain :class:`RpcError` otherwise."""
     kind = str(error.get("type"))
     return _WIRE_ERRORS.get(kind, RpcError)(kind, str(error.get("message")))
-
-
-def _wants_binary(wire: str) -> bool:
-    if wire not in ("json", "binary"):
-        raise ReproError(f"unknown wire encoding {wire!r}")
-    return wire == "binary"
-
-
-def _settled_wire(reply: Any) -> str:
-    """The encoding a ``negotiate`` reply settled on: an old server's
-    unknown-method *error* (callers pass ``None``) and a version-skewed
-    one's ``wire: json`` both degrade to JSON instead of hanging."""
-    return "binary" if isinstance(reply, dict) \
-        and reply.get("wire") == "binary" else "json"
 
 
 # ----------------------------------------------------------------------
@@ -435,17 +405,16 @@ class Dispatcher:
         self._bytes_out = metrics.counter("bytes_out")
         self._requests = metrics.counter("requests")
         self._errors = metrics.counter("errors")
-        self._negotiated_binary = metrics.counter("negotiated_binary")
+        # Always 0 (no reply is binary); registered only because
+        # bench/layers.py reads ``rpc.server.negotiated_binary`` by key.
+        metrics.counter("negotiated_binary")
         self._inflight = metrics.gauge("inflight")
 
-    def connect(self) -> "dict[str, bool]":
-        """Per-connection wire state, flipped by a ``negotiate``
-        request.  Replies racing the flip are harmless — clients sniff
-        every frame's magic instead of trusting the mode."""
+    def connect(self) -> None:
+        """Count one accepted connection."""
         self._connections.inc()
-        return {"binary": False}
 
-    async def handle(self, frame: bytes, conn: "dict[str, bool]") -> bytes:
+    async def handle(self, frame: bytes) -> bytes:
         """One request frame in, its reply frame out; never raises."""
         self._frames_in.inc()
         self._bytes_in.inc(len(frame))
@@ -463,21 +432,13 @@ class Dispatcher:
             args, kwargs = decode(args), decode(kwargs)
             handler = self._methods.get(method) \
                 if isinstance(method, str) else None
-            if handler is not None or method == "negotiate":
+            if handler is not None:
                 label = method
             with get_tracer().span(f"{self._span}.{label}",
                                    parent=trace,
                                    **self._span_attrs), \
                     self._metrics.time(self._timer.format(label)):
-                if method == "negotiate":
-                    # Flip to binary replies when the codec versions
-                    # match, else stay JSON and report ours.
-                    if kwargs.get("codec") == BINARY_CODEC_VERSION:
-                        conn["binary"] = True
-                        self._negotiated_binary.inc()
-                    result = {"wire": "binary" if conn["binary"] else "json",
-                              "codec": BINARY_CODEC_VERSION}
-                elif handler is None:
+                if handler is None:
                     raise ReproError(
                         f"unknown {self._kind} method {method!r}")
                 elif want_stamp and self._stamped is not None:
@@ -506,18 +467,16 @@ class Dispatcher:
                     seconds=elapsed)
         finally:
             self._inflight.add(-1)
-        payload = encode_envelope(request_id, result, error,
-                                  binary=conn["binary"], stamp=stamp)
+        payload = encode_envelope(request_id, result, error, stamp=stamp)
         self._frames_out.inc()
         self._bytes_out.inc(len(payload))
         return payload
 
-    def handle_blocking(self, frame: bytes,
-                        conn: "dict[str, bool]") -> bytes:
+    def handle_blocking(self, frame: bytes) -> bytes:
         """:meth:`handle` for a table of plain functions, run without an
         event loop: nothing in it suspends, so the coroutine finishes on
         its first step."""
-        step = self.handle(frame, conn)
+        step = self.handle(frame)
         try:
             step.send(None)
         except StopIteration as done:
@@ -536,14 +495,14 @@ def serve_blocking(server, dispatcher: Dispatcher,
         sock, _addr = server.accept()
     except OSError:
         return  # nobody connected within the socket's timeout
-    conn = dispatcher.connect()
+    dispatcher.connect()
     with sock:
         while not stopped():
             try:
                 frame = read_frame_sync(sock)
                 if frame is None:
                     break
-                write_frame_sync(sock, dispatcher.handle_blocking(frame, conn))
+                write_frame_sync(sock, dispatcher.handle_blocking(frame))
             except (OSError, ReproError):
                 break  # peer vanished mid-frame or sent garbage
 
@@ -566,11 +525,12 @@ class StreamServer:
         self._port = port
         self._max_inflight = max_inflight
         self._server: "asyncio.AbstractServer | None" = None
+        self._connections: "set[asyncio.Task]" = set()
 
     async def start(self) -> "tuple[str, int]":
         """Bind and listen; returns the bound (host, port)."""
         self._server = await asyncio.start_server(
-            self._serve, self._host, self._port)
+            self._accept, self._host, self._port)
         sockname = self._server.sockets[0].getsockname()
         self._host, self._port = sockname[0], sockname[1]
         return self._host, self._port
@@ -583,20 +543,35 @@ class StreamServer:
         await self._server.serve_forever()
 
     async def close(self) -> None:
+        """Stop listening, then end every open connection and wait for
+        its handler.  ``Server.wait_closed()`` does not wait for
+        connection handlers on Python 3.11, and a peer may never hang
+        up, so the handlers are cancelled rather than drained."""
         if self._server is not None:
             self._server.close()
+            while self._connections:
+                for task in self._connections:
+                    task.cancel()
+                await asyncio.gather(*self._connections,
+                                     return_exceptions=True)
             await self._server.wait_closed()
+
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        task = asyncio.ensure_future(self._serve(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
 
     async def _serve(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
-        conn = self._dispatcher.connect()
+        self._dispatcher.connect()
         write_lock = asyncio.Lock()
         inflight = asyncio.Semaphore(self._max_inflight)
         pending: "set[asyncio.Task]" = set()
 
         async def answer(frame: bytes) -> None:
             try:
-                payload = await self._dispatcher.handle(frame, conn)
+                payload = await self._dispatcher.handle(frame)
                 async with write_lock:
                     try:
                         write_frame(writer, payload)
@@ -620,9 +595,15 @@ class StreamServer:
                 task.add_done_callback(pending.discard)
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
+        except asyncio.CancelledError:
+            # close(): drop replies the peer has not read instead of
+            # waiting for a peer that may never read them.
+            writer.transport.abort()
+            raise
         finally:
             for task in pending:
                 task.cancel()
+            await asyncio.gather(*pending, return_exceptions=True)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -662,29 +643,20 @@ class BlockingRpcClient:
     :meth:`finish_call` collects its reply; replies pair by id in any
     order, and one nobody waits for any more (its ``finish_call`` timed
     out) is dropped — a late answer cannot shift later calls onto the
-    wrong reply.  ``wire="binary"`` is negotiated (JSON fallback);
-    ``unavailable`` builds the exception for a connection-level failure
-    (send/receive error, timeout, EOF) from a detail string.
+    wrong reply.  ``unavailable`` builds the exception for a
+    connection-level failure (send/receive error, timeout, EOF) from a
+    detail string.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0,
-                 wire: str = "json",
                  unavailable: "Callable[[str], Exception] | None" = None
                  ) -> None:
-        binary = _wants_binary(wire)
         self._unavailable = unavailable or (
             lambda detail: ReproError(f"RPC peer unavailable: {detail}"))
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._next_id = 0
         self._awaited: "set[int]" = set()
         self._replies: "dict[int, dict]" = {}
-        self.wire = "json"
-        if binary:
-            try:
-                reply = self.call("negotiate", codec=BINARY_CODEC_VERSION)
-            except ReproError:
-                reply = None
-            self.wire = _settled_wire(reply)
 
     def begin_call(self, method: str, *args, **kwargs) -> int:
         """Dispatch one request without waiting for its reply.  The
@@ -762,31 +734,13 @@ class RpcClient:
         self._bytes_out = self._metrics.counter("bytes_out")
         self._errors = self._metrics.counter("errors")
         self._inflight = self._metrics.gauge("inflight")
-        #: The negotiated response encoding ("json" until a successful
-        #: ``negotiate`` round trip flips it).
-        self.wire = "json"
 
     @classmethod
     async def connect(cls, host: str, port: int,
-                      wire: str = "json",
                       registry: "MetricsRegistry | None" = None
                       ) -> "RpcClient":
-        binary = _wants_binary(wire)
         reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, registry=registry)
-        if binary:
-            await client.negotiate()
-        return client
-
-    async def negotiate(self) -> str:
-        """Ask the server for binary responses; returns the settled wire
-        (see :func:`_settled_wire`)."""
-        try:
-            reply = await self.call("negotiate", codec=BINARY_CODEC_VERSION)
-        except RpcError:
-            reply = None
-        self.wire = _settled_wire(reply)
-        return self.wire
+        return cls(reader, writer, registry=registry)
 
     async def call(self, method: str, *args, **kwargs) -> Any:
         """Invoke a serving method remotely; raises :class:`RpcError`

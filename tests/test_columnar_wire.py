@@ -1,20 +1,15 @@
-"""Binary wire codec, negotiation fallback, pipelined scatter reads and
-remote-cluster byte-identity on the binary path (DESIGN.md §10).
+"""The packed binary message codec, pipelined scatter reads and
+remote-cluster byte-identity across a rebalance (DESIGN.md §10).
 
-The JSON wire is the oracle throughout: every binary-path result must be
-``rpc.dumps``-byte-identical to what the JSON path returns, and a binary
-client facing an old JSON-only server must degrade to JSON silently
-instead of hanging on the version skew.
+Every socket carries canonical JSON replies; the binary codec survives
+only as a codec that ``bench/layers.py`` times against ``rpc.dumps``.
+``rpc.dumps`` is the oracle throughout: a binary round trip and every
+remote result must be byte-identical to it.
 """
-
-import json
-import socket
-import threading
 
 import pytest
 
 from repro.cluster import ClusterService, RemoteClusterService
-from repro.cluster.remote import RemoteShardReplica
 from repro.cluster.shards import ShardedStoreView
 from repro.core.ontology import AttentionOntology, EdgeType, NodeType
 from repro.core.store import OntologyStore
@@ -24,13 +19,10 @@ from repro.serving import OntologyService
 from repro.serving.rpc import (
     BINARY_CODEC_VERSION,
     BINARY_MAGIC,
-    _canonical_bytes,
     dumps,
     dumps_binary,
     is_binary_frame,
     loads_binary,
-    read_frame_sync,
-    write_frame_sync,
 )
 from repro.text.ner import NerTagger
 from repro.text.tokenizer import tokenize
@@ -88,72 +80,6 @@ class TestBinaryCodec:
         frame = dumps_binary({"k": ["deep", {"er": 1}]})
         with pytest.raises((ReproError, SegmentIntegrityError)):
             loads_binary(frame[: len(frame) - 3])
-
-
-# ----------------------------------------------------------------------
-# negotiation: a binary client against an old JSON-only server
-# ----------------------------------------------------------------------
-def _serve_old_worker(server: socket.socket, negotiate_reply) -> None:
-    """A stub shard worker speaking only JSON envelopes.  ``negotiate``
-    is answered by ``negotiate_reply`` (an error for a pre-binary
-    server, or a version-skewed refusal); ``describe`` works."""
-    conn, _addr = server.accept()
-    with conn:
-        while True:
-            frame = read_frame_sync(conn)
-            if frame is None:
-                break
-            request = json.loads(frame.decode("utf-8"))
-            response = {"id": request.get("id")}
-            method = request.get("method")
-            if method == "negotiate":
-                response.update(negotiate_reply)
-            elif method == "describe":
-                response["result"] = {"shard": 0, "owned": 0}
-            else:
-                response["error"] = {"type": "ReproError",
-                                     "message": f"unknown {method!r}"}
-            write_frame_sync(conn, _canonical_bytes(response))
-
-
-class TestNegotiationFallback:
-    def _connect_against(self, negotiate_reply) -> RemoteShardReplica:
-        server = socket.create_server(("127.0.0.1", 0))
-        server.settimeout(10.0)
-        thread = threading.Thread(target=_serve_old_worker,
-                                  args=(server, negotiate_reply),
-                                  daemon=True)
-        thread.start()
-        port = server.getsockname()[1]
-        try:
-            return RemoteShardReplica(0, "127.0.0.1", port, timeout=10.0,
-                                      wire="binary")
-        finally:
-            server.close()
-
-    def test_old_server_without_negotiate_falls_back_to_json(self):
-        """A pre-binary worker errors on the unknown method; the client
-        must degrade to JSON and keep working — not hang or die."""
-        proxy = self._connect_against(
-            {"error": {"type": "ReproError",
-                       "message": "unknown shard method 'negotiate'"}})
-        assert proxy.wire == "json"
-        assert proxy.describe() == {"shard": 0, "owned": 0}
-        proxy.close()
-
-    def test_codec_version_skew_stays_json(self):
-        """A server that knows ``negotiate`` but speaks a different
-        codec version answers ``wire: json`` — the client honours it."""
-        proxy = self._connect_against(
-            {"result": {"wire": "json",
-                        "codec": BINARY_CODEC_VERSION + 1}})
-        assert proxy.wire == "json"
-        assert proxy.describe() == {"shard": 0, "owned": 0}
-        proxy.close()
-
-    def test_unknown_wire_rejected(self):
-        with pytest.raises(ReproError, match="wire"):
-            RemoteShardReplica(0, "127.0.0.1", 1, wire="msgpack")
 
 
 # ----------------------------------------------------------------------
@@ -224,10 +150,9 @@ class TestPipelinedScatter:
 
 
 # ----------------------------------------------------------------------
-# remote cluster on the binary wire: byte-identity at 4 shards with a
-# mid-stream rebalance (the acceptance gate)
+# remote cluster: byte-identity at 4 shards with a mid-stream rebalance
 # ----------------------------------------------------------------------
-class TestRemoteBinaryWire:
+class TestRemoteClusterRebalance:
     def _seed_log(self, log_dir):
         producer, delta = _sample_ontology()
         log = DeltaLog(log_dir, segment_max_bytes=512)
@@ -239,24 +164,20 @@ class TestRemoteBinaryWire:
             ner.register(name, "WORK")
         return producer, log, catalog, ner
 
-    def test_binary_cluster_byte_identical_with_rebalance(self, tmp_path):
-        """4 binary-wire shard workers bootstrapped from the catalog
-        snapshot serve responses byte-identical to a single store —
-        before and after a mid-stream delta plus a ring rebalance."""
+    def test_cluster_byte_identical_with_rebalance(self, tmp_path):
+        """4 shard workers bootstrapped from the catalog snapshot serve
+        responses byte-identical to a single store — before and after a
+        mid-stream delta plus a ring rebalance."""
         producer, log, catalog, ner = self._seed_log(tmp_path / "log")
         single = OntologyService(producer, ner=ner,
                                  tagger_options=TAGGER_OPTIONS)
         queries = ["best marvel movies", "thor review"]
         request = ("doc-1", tokenize("iron man and wasp team up"),
                    [tokenize("the hulk arrives")])
-        with PublisherThread(log, catalog) as publisher:
+        with log, PublisherThread(log, catalog) as publisher:
             with RemoteClusterService(publisher.address, num_shards=4,
                                       ner=ner,
-                                      tagger_options=TAGGER_OPTIONS,
-                                      wire="binary") as remote:
-                assert remote.stats()["wire"] == "binary"
-                assert all(replica.wire == "binary"
-                           for replica in remote.replicas)
+                                      tagger_options=TAGGER_OPTIONS) as remote:
                 assert dumps(single.interpret_queries(queries)) == \
                     dumps(remote.interpret_queries(queries))
                 assert dumps(single.tag_documents([request])) == \
@@ -277,9 +198,6 @@ class TestRemoteBinaryWire:
                 delta = remote.rebalance(5, publish=publisher.publish)
                 single.refresh([late, delta])
                 assert remote.num_shards == 5
-                # New/seeded/restarted workers re-negotiated binary.
-                assert all(replica.wire == "binary"
-                           for replica in remote.replicas)
                 assert dumps(single.interpret_queries(queries)) == \
                     dumps(remote.interpret_queries(queries))
                 assert dumps(single.stats()["ontology"]) == \

@@ -24,9 +24,7 @@ from repro.replication.follower import SyncLogClient
 from repro.serving import AsyncOntologyService, OntologyService
 from repro.serving.rpc import (
     _MAX_FRAME,
-    BINARY_CODEC_VERSION,
     RpcServer,
-    is_binary_frame,
     loads_envelope,
     read_frame_sync,
     write_frame_sync,
@@ -72,7 +70,7 @@ def _publisher(tmp_path):
     producer = _ontology()
     log = DeltaLog(tmp_path / "log")
     log.append(producer.commit_delta())
-    with PublisherThread(log) as publisher:
+    with log, PublisherThread(log) as publisher:
         yield publisher.address, "log_status"
 
 
@@ -131,7 +129,8 @@ def test_malformed_bodies_get_null_id_errors_and_connection_survives(peer):
 
 def test_unknown_method_is_a_typed_error_with_the_id_echoed(peer):
     sock, method = peer
-    for name in ("no_such_method", "_execute", None, ["a", "list"]):
+    for name in ("no_such_method", "_execute", "negotiate", None,
+                 ["a", "list"]):
         _frame, reply = _exchange(sock, _request(7, name))
         assert reply["id"] == 7
         assert reply["error"]["type"] == "ReproError"
@@ -143,33 +142,6 @@ def test_unknown_method_is_a_typed_error_with_the_id_echoed(peer):
     assert reply["id"] == 8 and "error" in reply
     _frame, reply = _exchange(sock, _request(9, method))
     assert reply["id"] == 9 and "result" in reply
-
-
-def test_negotiate_at_our_codec_version_flips_replies_to_binary(peer):
-    sock, method = peer
-    frame, plain = _exchange(sock, _request(0, method))
-    assert not is_binary_frame(frame)
-    _frame, reply = _exchange(sock, _request(
-        1, "negotiate", kwargs={"codec": BINARY_CODEC_VERSION}))
-    assert reply["result"] == {"wire": "binary",
-                               "codec": BINARY_CODEC_VERSION}
-    frame, binary = _exchange(sock, _request(2, method))
-    assert is_binary_frame(frame)
-    assert binary["id"] == 2
-    assert set(binary["result"]) == set(plain["result"])
-    # Errors ride the negotiated encoding too.
-    frame, reply = _exchange(sock, _request(3, "no_such_method"))
-    assert is_binary_frame(frame) and reply["id"] == 3 and "error" in reply
-
-
-def test_negotiate_at_a_skewed_codec_version_stays_json(peer):
-    sock, method = peer
-    frame, reply = _exchange(sock, _request(
-        1, "negotiate", kwargs={"codec": BINARY_CODEC_VERSION + 1}))
-    assert not is_binary_frame(frame)
-    assert reply["result"] == {"wire": "json", "codec": BINARY_CODEC_VERSION}
-    frame, reply = _exchange(sock, _request(2, method))
-    assert not is_binary_frame(frame) and "result" in reply
 
 
 def test_trace_key_accepted_and_unknown_keys_ignored(peer):

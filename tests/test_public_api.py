@@ -239,6 +239,52 @@ def test_batcher_drains_what_is_queued(capsys):
     assert "wait_for" not in source and "sleep" not in source
 
 
+#: The packed binary codec, kept only as the perf ledger's probe.
+_BINARY_CODEC = {"dumps_binary", "loads_binary", "is_binary_frame"}
+
+
+def test_one_wire_encoding(capsys):
+    """Structure guard: every socket carries canonical JSON replies.  No
+    function takes a ``wire`` choice, no CLI command offers ``--wire``,
+    no module names a ``negotiate`` method, and the binary codec is
+    called only inside its own definitions (``bench/layers.py`` times
+    it; nothing in ``src/repro`` sends it)."""
+    from repro.cli import build_parser
+
+    for command in ("serve", "audit"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        assert "--wire" not in capsys.readouterr().out, command
+    src = _repo_root() / "src" / "repro"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        codec_spans = [(node.lineno, node.end_lineno)
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name in _BINARY_CODEC]
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {arg.arg for arg in (args.posonlyargs + args.args
+                                             + args.kwonlyargs)}
+                if "wire" in names:
+                    offenders.append(f"{where} {node.name}(wire=)")
+                if node.name == "negotiate":
+                    offenders.append(f"{where} def negotiate")
+            elif isinstance(node, ast.Constant) and node.value == "negotiate":
+                offenders.append(f"{where} 'negotiate'")
+            elif isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) \
+                    else getattr(node.func, "id", None)
+                if name in _BINARY_CODEC and not any(
+                        start <= node.lineno <= end
+                        for start, end in codec_spans):
+                    offenders.append(f"{where} {name}()")
+    assert not offenders, offenders
+
+
 def test_ci_installs_every_third_party_import():
     """Every top-level module the test, benchmark and bench trees import
     is stdlib, first-party, or on the CI workflow's pip install line —

@@ -392,6 +392,7 @@ class TestRpc:
         async def main():
             async def mute_server(reader, writer):
                 await reader.read(-1)  # swallow requests, never reply
+                writer.close()
 
             server = await asyncio.start_server(mute_server, "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
@@ -409,6 +410,27 @@ class TestRpc:
             await server.wait_closed()
 
         run_async(main())
+
+    def test_server_close_ends_connections_of_idle_peers(self,
+                                                         sync_service):
+        """close() must end a connection whose peer never hangs up, and
+        return promptly instead of waiting for that peer."""
+        async def main():
+            async with AsyncOntologyService(sync_service) as aio:
+                server = RpcServer(aio)
+                host, port = await server.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                rpc.write_frame(writer, rpc.build_request(0, "stats", (), {}))
+                assert "result" in rpc.loads_envelope(
+                    await rpc.read_frame(reader))
+                await asyncio.wait_for(server.close(), 5)
+                # The server side is gone: the idle peer reads EOF.
+                eof = await asyncio.wait_for(reader.read(), 5)
+                writer.close()
+                await writer.wait_closed()
+            return eof
+
+        assert run_async(main()) == b""
 
     def test_rpc_results_byte_identical_to_sync(self, sync_service):
         docs = make_docs()
