@@ -7,12 +7,12 @@ concept-tagging precision is 88% overall and event tagging 96%.
 The bench tags a synthetic evaluation corpus through the serving layer's
 batched :meth:`OntologyService.tag_documents` API (index-driven candidate
 generation) and reports precision against gold document tags, the fraction
-of documents tagged, and docs/second.  The cluster benches then (a) verify
-the 4-shard :class:`ClusterService` tags/interprets byte-identically to
-the single store, and (b) measure the multi-process
-:class:`TaggingWorkerPool` docs/sec against the single-process path,
-emitting machine-readable numbers to ``results/BENCH_tagging.json`` so
-the perf trajectory is trackable across PRs.
+of documents tagged, and docs/second.  The cluster and serving benches then
+(a) verify the 4-shard :class:`ClusterService` tags/interprets
+byte-identically to the single store, and (b) measure the async
+micro-batching front's docs/sec against the sync path, emitting
+machine-readable numbers to ``results/BENCH_tagging.json`` so the perf
+trajectory is trackable across PRs.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import time
 import pytest
 
 from repro import GiantPipeline
-from repro.cluster import ClusterService, TaggingWorkerPool
-from repro.core.store import OntologyStore
+from repro.cluster import ClusterService
 from repro.eval.reporting import render_table
 from repro.obs import MetricsRegistry
 from repro.serving import OntologyService
@@ -270,71 +269,9 @@ def test_async_concurrent_streams_throughput(service_and_corpus):
           f"vs {sync_dps:.1f} sync ({batcher['requests']} requests merged "
           f"into {batcher['batches']} batches)")
     # Micro-batching amortises dispatch, so the async front should stay
-    # within 2x of the raw sync path; like the multiprocess speedup
-    # gate, the timing assertion only arms with >=2 cores — a contended
-    # single-core runner can jitter arbitrarily (numbers still recorded).
+    # within 2x of the raw sync path; the timing assertion only arms
+    # with >=2 cores — a contended single-core runner can jitter
+    # arbitrarily (numbers still recorded).
     if (os.cpu_count() or 1) >= 2:
         assert async_dps >= 0.5 * sync_dps
 
-
-def test_multiprocess_tagging_throughput(service_and_corpus):
-    """Multi-process docs/sec vs the single-process indexed path.
-
-    Workers bootstrap replicas from a compacted snapshot + tail deltas
-    (the cluster bootstrap protocol), then tag disjoint corpus chunks.
-    The ≥2x speedup assertion only fires on machines with ≥4 cores —
-    on fewer cores the numbers are still measured and recorded.
-    """
-    service, corpus, pipe, ner = service_and_corpus
-    cores = os.cpu_count() or 1
-    workers = max(2, min(4, cores))
-    repeat = 8 if SCALE == "full" else 4
-    big_corpus = [(f"{doc.doc_id}#{i}", doc.title_tokens, doc.sentences)
-                  for i in range(repeat) for doc in corpus]
-
-    start = time.perf_counter()
-    single_results = service.tag_documents(big_corpus)
-    single_secs = time.perf_counter() - start
-    single_dps = len(big_corpus) / single_secs
-
-    split = max(1, len(pipe.deltas) // 2)
-    snapshot = OntologyStore.bootstrap(None, pipe.deltas[:split]).compact()
-    with TaggingWorkerPool(pipe.deltas, ner=ner, snapshot=snapshot,
-                           tagger_options=dict(TAGGER_OPTIONS),
-                           num_workers=workers) as pool:
-        pool.tag_documents(big_corpus[:workers])  # warm-up past bootstrap
-        start = time.perf_counter()
-        pool_results = pool.tag_documents(big_corpus)
-        pool_secs = time.perf_counter() - start
-        # Separate chunked pass for the latency distribution, so the
-        # speedup measurement above stays a single fan-out call.
-        registry = MetricsRegistry()
-        hist_chunk = max(1, len(big_corpus) // 8)
-        for s in range(0, len(big_corpus), hist_chunk):
-            with registry.time("pool_request_seconds"):
-                pool.tag_documents(big_corpus[s:s + hist_chunk])
-    pool_dps = len(big_corpus) / pool_secs
-    speedup = pool_dps / single_dps
-
-    assert pool_results == single_results  # scatter-gather is lossless
-    write_json("BENCH_tagging", {
-        "multiprocess": {
-            "docs_per_sec": round(pool_dps, 1),
-            "single_docs_per_sec": round(single_dps, 1),
-            "speedup": round(speedup, 2),
-            "workers": workers,
-            "cores": cores,
-            "corpus_docs": len(big_corpus),
-            "snapshot_bootstrap": True,
-            "latency": dict(
-                percentiles(registry.snapshot(), "pool_request_seconds"),
-                chunk_docs=hist_chunk),
-        },
-    })
-    print(f"\nmulti-process tagging: {pool_dps:.1f} docs/sec with "
-          f"{workers} workers vs {single_dps:.1f} single "
-          f"({speedup:.2f}x on {cores} cores)")
-    if cores >= 4:
-        assert speedup >= 2.0, (
-            f"expected >=2x docs/sec with {workers} workers on {cores} "
-            f"cores, got {speedup:.2f}x")

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Cluster serving: sharded stores, scatter-gather requests, worker pool.
+"""Cluster serving: sharded stores and scatter-gather requests.
 
 Shows the cluster tier (DESIGN.md §6) end to end: a builder emits
 OntologyDelta batches; a 4-shard ClusterService routes each batch to its
 owning shards (with ghost replicas for cross-shard edges) and serves
 tagging/query requests whose results are byte-identical to a single
-store; a multi-process TaggingWorkerPool bootstraps replicas from a
-compacted snapshot + tail deltas and fans a corpus across processes.
+store.  For shards in follower-fed worker processes behind the delta log,
+see examples/replicated_cluster.py.
 
 Run:  python examples/cluster_serving.py
 """
@@ -15,11 +15,9 @@ from repro import (
     ClusterService,
     GiantPipeline,
     OntologyService,
-    TaggingWorkerPool,
     WorldConfig,
     build_world,
 )
-from repro.core.store import OntologyStore
 from repro.synth.documents import DocumentGenerator
 from repro.synth.querylog import QueryLogGenerator, build_click_graph
 
@@ -60,20 +58,6 @@ def main() -> None:
     for analysis in cluster.interpret_queries(queries):
         print(f"  {analysis.query!r} -> concepts={analysis.concepts[:1]} "
               f"rewrites={analysis.rewrites[:2]}")
-
-    # --- multi-process tagging: snapshot + tail delta bootstrap.
-    split = max(1, len(pipeline.deltas) // 2)
-    snapshot = OntologyStore.bootstrap(
-        None, pipeline.deltas[:split]).compact()
-    with TaggingWorkerPool(pipeline.deltas, ner=ner_tagger,
-                           snapshot=snapshot, tagger_options=options,
-                           num_workers=2) as pool:
-        tagged = pool.tag_documents(corpus)
-        assert tagged == single.tag_documents(corpus)
-        print(f"\nworker pool: {pool.num_workers} processes bootstrapped "
-              f"from snapshot v{snapshot['store_version']} + "
-              f"{len(pipeline.deltas) - split} tail deltas; "
-              f"tagged {len(tagged)} docs identically")
 
     print("\ncluster stats:", {
         k: v for k, v in cluster.stats().items()

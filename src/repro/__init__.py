@@ -11,7 +11,6 @@ Public API overview::
         AsyncOntologyService,     # asyncio front: micro-batched streams
         ClusterService,           # sharded scatter-gather serving tier
         RemoteClusterService,     # shards in follower-fed worker processes
-        TaggingWorkerPool,        # multi-process tagging over replicas
         DeltaLog, SnapshotCatalog,  # durable segmented WAL + compaction
         GCTSPNet,                 # the paper's phrase-mining model
         build_world, QueryLogGenerator,  # synthetic click-log substrate
@@ -33,8 +32,8 @@ Subpackages:
                        LRU caching, incremental delta refresh; the
                        asyncio micro-batching front + JSON RPC wrapper
     repro.cluster    — sharded cluster tier: hash-partitioned stores,
-                       scatter-gather ClusterService, multi-process
-                       tagging workers, remote shard worker processes
+                       scatter-gather ClusterService, follower-fed
+                       remote shard worker processes
     repro.replication — durable segmented delta log, snapshot catalog,
                        log publisher/followers (the system of record)
     repro.obs        — process-wide metrics registry (counters, gauges,
@@ -43,7 +42,7 @@ Subpackages:
     repro.eval       — metrics and table/figure rendering
 """
 
-from .cluster import ClusterService, RemoteClusterService, TaggingWorkerPool
+from .cluster import ClusterService, RemoteClusterService
 from .config import GiantConfig, MiningConfig, LinkingConfig, GCTSPConfig
 from .core.gctsp import GCTSPNet
 from .core.ontology import AttentionOntology, NodeType, EdgeType
@@ -76,7 +75,6 @@ __all__ = [
     "AsyncOntologyService",
     "ClusterService",
     "RemoteClusterService",
-    "TaggingWorkerPool",
     "DeltaLog",
     "SnapshotCatalog",
     "LogPublisher",

@@ -392,27 +392,28 @@ def run_campaign(schedule: dict, log_dir, *, backend_rig=None,
     producer = AttentionOntology()
     ner = NerTagger()
     seed_delta = _apply_spec(producer, ner, ops[0])
-    log = DeltaLog(log_dir, segment_max_bytes=512)
-    log.append(seed_delta)
-    catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
-    catalog.record(OntologyStore.bootstrap(None, [seed_delta]))
     report: dict = {"seed": schedule.get("seed"), "ops": 0, "reads": 0,
                     "writes": 0, "rebalance": None}
     start_shards = int(schedule.get("start_shards", 2))
-    with PublisherThread(log, catalog) as publisher:
-        with RemoteClusterService(publisher.address,
-                                  num_shards=start_shards, ner=ner,
-                                  tagger_options=TAGGER_OPTIONS) as remote:
-            backend = remote if backend_rig is None else backend_rig(remote)
-            audit = AuditLog(publisher.address, ner=ner,
-                             tagger_options=TAGGER_OPTIONS)
-            injector = FaultInjector(remote, publisher, catalog)
-            try:
-                asyncio.run(_drive(schedule, backend, remote, publisher,
-                                   producer, ner, audit, injector,
-                                   report))
-            finally:
-                audit.close()
+    with DeltaLog(log_dir, segment_max_bytes=512) as log:
+        log.append(seed_delta)
+        catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
+        catalog.record(OntologyStore.bootstrap(None, [seed_delta]))
+        with PublisherThread(log, catalog) as publisher:
+            with RemoteClusterService(
+                    publisher.address, num_shards=start_shards, ner=ner,
+                    tagger_options=TAGGER_OPTIONS) as remote:
+                backend = remote if backend_rig is None \
+                    else backend_rig(remote)
+                audit = AuditLog(publisher.address, ner=ner,
+                                 tagger_options=TAGGER_OPTIONS)
+                injector = FaultInjector(remote, publisher, catalog)
+                try:
+                    asyncio.run(_drive(schedule, backend, remote, publisher,
+                                       producer, ner, audit, injector,
+                                       report))
+                finally:
+                    audit.close()
     report["faults"] = list(injector.injected)
     report["violations"] = [v.to_dict() for v in audit.violations]
     report["final_version"] = producer.store.version

@@ -22,10 +22,6 @@ over many machines.  This package is the reproduction's cluster tier
 * :mod:`repro.cluster.service` — :class:`ClusterService`: an
   :class:`~repro.serving.service.OntologyService` over that view, with
   results byte-identical to a single store at the same stream version;
-* :mod:`repro.cluster.workers` — :class:`TaggingWorkerPool`: a
-  multi-process executor whose workers bootstrap replicas from
-  ``snapshot + tail deltas`` (:meth:`OntologyStore.compact` /
-  :meth:`OntologyStore.bootstrap`) and tag disjoint corpus chunks;
 * :mod:`repro.cluster.remote` — :class:`RemoteClusterService` /
   :class:`RemoteShardReplica`: every shard in its own worker process,
   follower-fed from the :mod:`repro.replication` delta log, with the
@@ -38,7 +34,6 @@ from .ring import HashRing, TransferSlice, ring_delta, ring_op_of
 from .router import RebalancePlan, ShardRouter, stable_hash
 from .service import ClusterService
 from .shards import ShardReplica, ShardSet, ShardedStoreView
-from .workers import TaggingWorkerPool
 
 __all__ = [
     "ClusterService",
@@ -50,7 +45,6 @@ __all__ = [
     "ShardRouter",
     "ShardSet",
     "ShardedStoreView",
-    "TaggingWorkerPool",
     "TransferSlice",
     "ring_delta",
     "ring_op_of",

@@ -15,9 +15,11 @@ Worker processes are spawned for the cluster topologies; the module is
 a real file so the ``spawn`` start method can re-import it safely.
 """
 
+import gc
 import json
 import os
 import pathlib
+import warnings
 
 import pytest
 
@@ -54,7 +56,10 @@ def log_dir(tmp_path, request):
     return tmp_path / "log"
 
 
-def _seed_log(log_dir):
+@pytest.fixture
+def seeded(log_dir):
+    """``(producer, log, catalog, ner)`` over a one-delta log with its
+    snapshot recorded; the log is closed at teardown."""
     producer = AttentionOntology()
     producer.begin_delta("build")
     concept = producer.add_node(NodeType.CONCEPT, "marvel movies")
@@ -63,14 +68,14 @@ def _seed_log(log_dir):
         producer.add_edge(concept.node_id, entity.node_id, EdgeType.ISA)
     producer.add_alias(concept.node_id, "mcu films")
     delta = producer.commit_delta()
-    log = DeltaLog(log_dir, segment_max_bytes=512)
-    log.append(delta)
-    catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
-    catalog.record(OntologyStore.bootstrap(None, [delta]))
     ner = NerTagger()
     for name in _CAST:
         ner.register(name, "WORK")
-    return producer, log, catalog, ner
+    with DeltaLog(log_dir, segment_max_bytes=512) as log:
+        log.append(delta)
+        catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
+        catalog.record(OntologyStore.bootstrap(None, [delta]))
+        yield producer, log, catalog, ner
 
 
 def _grow(producer, ner, tag: str):
@@ -113,8 +118,8 @@ class TestSchedule:
 # the audit log's checks, in isolation (no cluster)
 # ----------------------------------------------------------------------
 class TestAuditLogChecks:
-    def test_session_guarantees(self, log_dir):
-        producer, log, catalog, ner = _seed_log(log_dir)
+    def test_session_guarantees(self, seeded):
+        producer, log, catalog, ner = seeded
         single = OntologyService(producer, ner=ner,
                                  tagger_options=TAGGER_OPTIONS)
         with PublisherThread(log, catalog) as publisher:
@@ -169,8 +174,8 @@ class TestAuditLogChecks:
             finally:
                 audit.close()
 
-    def test_stamp_ahead_of_log_is_hard_error(self, log_dir):
-        producer, log, catalog, ner = _seed_log(log_dir)
+    def test_stamp_ahead_of_log_is_hard_error(self, seeded):
+        producer, log, catalog, ner = seeded
         with PublisherThread(log, catalog) as publisher:
             audit = AuditLog(publisher.address, ner=ner,
                              tagger_options=TAGGER_OPTIONS)
@@ -188,14 +193,14 @@ class TestAuditLogChecks:
 # crash-path regressions the campaign flushed out
 # ----------------------------------------------------------------------
 class TestCrashPathFixes:
-    def test_dead_worker_scatter_read_recovers_typed(self, log_dir):
+    def test_dead_worker_scatter_read_recovers_typed(self, seeded):
         """Bug (a): a scatter read between ``terminate_worker`` and the
         next sync used to surface a raw OSError/ConnectionError from the
         dead worker's stale proxy.  Now the proxy maps connection
         failures to ``ShardUnavailableError`` and the serving view's
         recovery hook respawns the worker and retries — the read
         succeeds and stays byte-identical to the single store."""
-        producer, log, catalog, ner = _seed_log(log_dir)
+        producer, log, catalog, ner = seeded
         single = OntologyService(producer, ner=ner,
                                  tagger_options=TAGGER_OPTIONS)
         docs = [("d1", tokenize("thor and hulk"),
@@ -220,11 +225,11 @@ class TestCrashPathFixes:
                 # And the worker really was respawned, not just retried.
                 assert remote.replicas[1].describe()["shard"] == 1
 
-    def test_restart_shard_failed_respawn_keeps_old_proxy(self, log_dir):
+    def test_restart_shard_failed_respawn_keeps_old_proxy(self, seeded):
         """Bug (b): ``restart_shard`` used to close the old proxy before
         the respawn was known-good — a failed respawn left a dead socket
         seated with no retry path.  The swap is all-or-nothing now."""
-        producer, log, catalog, ner = _seed_log(log_dir)
+        producer, log, catalog, ner = seeded
         single = OntologyService(producer, ner=ner,
                                  tagger_options=TAGGER_OPTIONS)
         with PublisherThread(log, catalog) as publisher:
@@ -258,7 +263,7 @@ class TestCrashPathFixes:
                 assert dumps(remote.interpret_queries(queries)) == \
                     dumps(single.interpret_queries(queries))
 
-    def test_reap_escalates_and_refuses_wedged_corpse(self, log_dir):
+    def test_reap_escalates_and_refuses_wedged_corpse(self, seeded):
         """Bug (c): the old restart joined the outgoing worker with a
         timeout but never checked it died — ``_reap`` now escalates
         terminate -> kill and refuses to respawn over a survivor."""
@@ -287,7 +292,7 @@ class TestCrashPathFixes:
             def join(self, timeout=None):
                 self.calls.append("join")
 
-        producer, log, catalog, ner = _seed_log(log_dir)
+        producer, log, catalog, ner = seeded
         with PublisherThread(log, catalog) as publisher:
             with RemoteClusterService(publisher.address, num_shards=2,
                                       ner=ner,
@@ -311,13 +316,13 @@ class TestCrashPathFixes:
 # view rehydration across a GC-forced parent re-bootstrap (DeltaGapError)
 # ----------------------------------------------------------------------
 class TestGapRebootstrapRehydration:
-    def test_view_reads_rehydrate_byte_identical(self, log_dir):
+    def test_view_reads_rehydrate_byte_identical(self, seeded):
         """The parent's routing client is unregistered on purpose, so a
         log GC at the worker/auditor floor strands it: the next sync
         meets ``DeltaGapError`` and rebuilds the router from snapshot +
         tail.  The view catalog trails that rebuild — the next
         view-backed read must rehydrate to byte-identical results."""
-        producer, log, catalog, ner = _seed_log(log_dir)
+        producer, log, catalog, ner = seeded
         single = OntologyService(producer, ner=ner,
                                  tagger_options=TAGGER_OPTIONS)
         with PublisherThread(log, catalog) as publisher:
@@ -364,9 +369,15 @@ class TestCampaign:
     def test_seeded_campaign_runs_clean(self, log_dir):
         """The acceptance gate: a seeded campaign covering worker kills,
         an operator restart, follower delay, log GC under lag, and one
-        mid-traffic chunked rebalance completes with zero violations."""
+        mid-traffic chunked rebalance completes with zero violations,
+        and closes the delta log it opened."""
         schedule = generate_schedule(seed=3, steps=12)
-        report = run_campaign(schedule, log_dir)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            report = run_campaign(schedule, log_dir)
+            gc.collect()  # an unclosed segment file warns when collected
+        assert not [str(w.message) for w in caught
+                    if str(log_dir) in str(w.message)]
         assert report["violations"] == []
         fault_kinds = {fault["kind"] for fault in report["faults"]}
         assert {"kill_worker", "restart_worker", "delay_follower",

@@ -1,9 +1,9 @@
-"""Tests for repro.cluster: routing, sharded replay, scatter-gather
-serving equality, and the multi-process tagging pool."""
+"""Tests for repro.cluster: routing, sharded replay, and scatter-gather
+serving equality against a single store."""
 
 import pytest
 
-from repro.cluster import ClusterService, ShardRouter, TaggingWorkerPool
+from repro.cluster import ClusterService, ShardRouter
 from repro.core.ontology import AttentionOntology, EdgeType, NodeType
 from repro.core.serialize import store_to_delta
 from repro.core.store import OntologyDelta, OntologyStore
@@ -407,39 +407,3 @@ class TestClusterServing:
         assert (from_dump.tag_documents(DOCS)
                 == from_stream.tag_documents(DOCS))
 
-
-class TestTaggingWorkerPool:
-    def test_pool_matches_single_process_and_refreshes(
-            self, producer_and_deltas, ner):
-        producer, deltas = producer_and_deltas
-        single = OntologyService(producer, ner=ner,
-                                 tagger_options=TAGGER_OPTIONS)
-        snapshot = OntologyStore.bootstrap(None, deltas[:2]).compact()
-        with TaggingWorkerPool(deltas, ner=ner, snapshot=snapshot,
-                               tagger_options=TAGGER_OPTIONS,
-                               num_workers=2, timeout=120.0) as pool:
-            assert pool.tag_documents(DOCS * 3) == single.tag_documents(
-                DOCS * 3)
-            # A new delta broadcast reaches every replica.
-            producer.begin_delta("day4")
-            producer.add_node(NodeType.EVENT,
-                              "hulk cameo confirmed in new trailer")
-            fourth = producer.commit_delta()
-            assert pool.refresh([fourth]) == 1
-            single.refresh([fourth])
-            fresh_doc = [("n", tokenize("hulk cameo confirmed in new trailer"),
-                          [])]
-            assert pool.tag_documents(fresh_doc) == single.tag_documents(
-                fresh_doc)
-
-    def test_empty_batch_and_close_idempotent(self, producer_and_deltas, ner):
-        _producer, deltas = producer_and_deltas
-        pool = TaggingWorkerPool(deltas, ner=ner,
-                                 tagger_options=TAGGER_OPTIONS,
-                                 num_workers=1, timeout=120.0)
-        assert pool.tag_documents([]) == []
-        pool.close()
-        pool.close()
-        from repro.errors import ReproError
-        with pytest.raises(ReproError):
-            pool.tag_documents(DOCS)

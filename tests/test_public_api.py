@@ -285,6 +285,38 @@ def test_one_wire_encoding(capsys):
     assert not offenders, offenders
 
 
+
+def _imports_multiprocessing(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "multiprocessing" for name in names):
+            return True
+    return False
+
+
+def test_one_worker_fleet():
+    """Structure guard: every replica in another process is a shard
+    worker fed by ``LogFollower`` over the delta log.  There is no
+    tagging pool with its own queue protocol, no package exports one,
+    and ``cluster/remote.py`` is the only module that starts processes."""
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.cluster.workers")
+    for package in PACKAGES:
+        module = importlib.import_module(package)
+        assert "TaggingWorkerPool" not in getattr(module, "__all__", []), \
+            package
+        assert not hasattr(module, "TaggingWorkerPool"), package
+    src = _repo_root() / "src" / "repro"
+    spawners = [str(path.relative_to(src))
+                for path in sorted(src.rglob("*.py"))
+                if _imports_multiprocessing(ast.parse(path.read_text()))]
+    assert spawners == ["cluster/remote.py"], spawners
+
 def test_ci_installs_every_third_party_import():
     """Every top-level module the test, benchmark and bench trees import
     is stdlib, first-party, or on the CI workflow's pip install line —

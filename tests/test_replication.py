@@ -119,6 +119,15 @@ def log_dir(tmp_path, request):
     return tmp_path / "log"
 
 
+@pytest.fixture
+def open_log():
+    """``DeltaLog(...)`` closed at teardown, so a test that ends (or
+    fails) with its log open leaves no segment append handle behind."""
+    with contextlib.ExitStack() as stack:
+        yield lambda *args, **kwargs: stack.enter_context(
+            DeltaLog(*args, **kwargs))
+
+
 # ----------------------------------------------------------------------
 # DeltaLog
 # ----------------------------------------------------------------------
@@ -134,25 +143,28 @@ class TestDeltaLog:
         assert [d.version for d in out] == [d.version for d in deltas]
         assert [d.ops for d in out] == [d.ops for d in deltas]
 
-    def test_read_since_and_max_count(self, producer_and_deltas, log_dir):
+    def test_read_since_and_max_count(self, producer_and_deltas, log_dir,
+                                      open_log):
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir)
+        log = open_log(log_dir)
         log.extend(deltas)
         tail = log.read(deltas[0].version)
         assert [d.version for d in tail] == [d.version for d in deltas[1:]]
         assert len(log.read(0, max_count=2)) == 2
         assert log.read(deltas[-1].version) == []
 
-    def test_duplicate_append_skipped(self, producer_and_deltas, log_dir):
+    def test_duplicate_append_skipped(self, producer_and_deltas, log_dir,
+                                      open_log):
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir)
+        log = open_log(log_dir)
         log.extend(deltas)
         assert log.append(deltas[1]) is False  # at-least-once producer
         assert len(log) == len(deltas)
 
-    def test_gap_and_overlap_rejected(self, producer_and_deltas, log_dir):
+    def test_gap_and_overlap_rejected(self, producer_and_deltas, log_dir,
+                                      open_log):
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir)
+        log = open_log(log_dir)
         log.append(deltas[0])
         with pytest.raises(DeltaGapError, match="missing versions"):
             log.append(deltas[2])  # skipped deltas[1]
@@ -169,13 +181,14 @@ class TestDeltaLog:
         with pytest.raises(OntologyError, match="internally inconsistent"):
             log.append(inconsistent)
 
-    def test_segment_roll_and_reopen(self, producer_and_deltas, log_dir):
+    def test_segment_roll_and_reopen(self, producer_and_deltas, log_dir,
+                                     open_log):
         _producer, deltas = producer_and_deltas
         log = DeltaLog(log_dir, segment_max_bytes=256)
         log.extend(deltas)
         assert len(log.segments()) > 1  # small bound forces rolls
         log.close()
-        reopened = DeltaLog(log_dir, segment_max_bytes=256)
+        reopened = open_log(log_dir, segment_max_bytes=256)
         assert reopened.last_version == deltas[-1].version
         assert [d.version for d in reopened.read(0)] == \
             [d.version for d in deltas]
@@ -189,14 +202,14 @@ class TestDeltaLog:
 
     def test_divergent_stream_rejected_not_skipped(self,
                                                    producer_and_deltas,
-                                                   log_dir):
+                                                   log_dir, open_log):
         """Regression (review finding): appending a *different* stream
         whose version range the log already retains must fail loudly —
         silently skipping it as a duplicate would lose the new build's
         deltas while the log pretends to hold them (and a later
         snapshot would poison the directory for good)."""
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir)
+        log = open_log(log_dir)
         log.extend(deltas)
         other = AttentionOntology()
         other.begin_delta("rebuild")
@@ -243,9 +256,9 @@ class TestDeltaLog:
         assert [d.version for d in DeltaLog(log_dir).read(0)] == \
             [d.version for d in deltas]
 
-    def test_fsync_mode_appends(self, producer_and_deltas, log_dir):
+    def test_fsync_mode_appends(self, producer_and_deltas, log_dir, open_log):
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir, fsync=True)
+        log = open_log(log_dir, fsync=True)
         assert log.extend(deltas) == len(deltas)
         assert [d.version for d in log.read(0)] == \
             [d.version for d in deltas]
@@ -260,7 +273,7 @@ class TestCrashDurability:
         return log.path / log.segments()[-1].name
 
     def test_torn_tail_dropped_prefix_preserved(self, producer_and_deltas,
-                                                log_dir):
+                                                log_dir, open_log):
         """A writer killed mid-append leaves a truncated last line; the
         reopened log drops the torn record, keeps the contiguous prefix,
         and replays to the exact same stats as a clean stream."""
@@ -276,7 +289,7 @@ class TestCrashDurability:
         with open(segment, "ab") as handle:
             handle.write(line.encode("utf-8")[: len(line) // 2])
 
-        recovered = DeltaLog(log_dir)
+        recovered = open_log(log_dir)
         assert recovered.last_recovery["dropped_lines"] == 1
         assert recovered.last_recovery["truncated_bytes"] > 0
         assert recovered.last_version == deltas[1].version
@@ -290,32 +303,33 @@ class TestCrashDurability:
             OntologyStore.bootstrap(None, deltas).stats()
 
     def test_torn_tail_with_garbage_bytes(self, producer_and_deltas,
-                                          log_dir):
+                                          log_dir, open_log):
         _producer, deltas = producer_and_deltas
         log = DeltaLog(log_dir)
         log.extend(deltas)
         log.close()
         with open(self._active_segment(log), "ab") as handle:
             handle.write(b'{"not a delta" \xff\xfe')
-        recovered = DeltaLog(log_dir)
+        recovered = open_log(log_dir)
         assert recovered.last_version == deltas[-1].version
         assert recovered.last_recovery["truncated_bytes"] > 0
 
-    def test_fully_torn_segment_recovers_empty(self, log_dir):
+    def test_fully_torn_segment_recovers_empty(self, log_dir, open_log):
         log = DeltaLog(log_dir)
         log.close()
         with open(self._active_segment(log), "ab") as handle:
             handle.write(b"garbage-without-newline")
-        recovered = DeltaLog(log_dir)
+        recovered = open_log(log_dir)
         assert recovered.first_version == recovered.last_version == 0
         assert recovered.read(0) == []
 
-    def test_clean_log_recovery_is_noop(self, producer_and_deltas, log_dir):
+    def test_clean_log_recovery_is_noop(self, producer_and_deltas, log_dir,
+                                        open_log):
         _producer, deltas = producer_and_deltas
         log = DeltaLog(log_dir, segment_max_bytes=256)
         log.extend(deltas)
         log.close()
-        recovered = DeltaLog(log_dir, segment_max_bytes=256)
+        recovered = open_log(log_dir, segment_max_bytes=256)
         assert recovered.last_recovery["dropped_lines"] == 0
         assert recovered.last_recovery["truncated_bytes"] == 0
         assert [d.version for d in recovered.read(0)] == \
@@ -357,9 +371,9 @@ def _writes_under(root: pathlib.Path):
 class TestNamesAreTheMetadata:
     def test_segments_and_snapshots_named_by_version(self,
                                                      producer_and_deltas,
-                                                     log_dir):
+                                                     log_dir, open_log):
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir, segment_max_bytes=256)
+        log = open_log(log_dir, segment_max_bytes=256)
         log.extend(deltas)
         catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=1)
         catalog.record(OntologyStore.bootstrap(None, deltas))
@@ -392,7 +406,7 @@ class TestNamesAreTheMetadata:
         assert catalog.latest_version == deltas[1].version
 
     def test_manifest_layout_directory_rejected(self, producer_and_deltas,
-                                                log_dir):
+                                                log_dir, open_log):
         """A directory written by the older manifest layout (ordinal
         segment names, ``MANIFEST.json``, ``snapshots/CATALOG.json``)
         raises a typed error naming it and is never truncated: its
@@ -418,7 +432,7 @@ class TestNamesAreTheMetadata:
             DeltaLog(log_dir)  # an ordinal name is not a base version
         assert segment.read_bytes() == before
 
-        fresh = DeltaLog(log_dir / "fresh")
+        fresh = open_log(log_dir / "fresh")
         (fresh.path / "snapshots").mkdir()
         (fresh.path / "snapshots" / "CATALOG.json").write_text("{}\n")
         for readonly in (False, True):
@@ -426,13 +440,13 @@ class TestNamesAreTheMetadata:
                 SnapshotCatalog(fresh, readonly=readonly)
 
     def test_directory_fsync_errors_raise(self, producer_and_deltas,
-                                          log_dir, monkeypatch):
+                                          log_dir, open_log, monkeypatch):
         """Regression: ``fsync_dir`` swallowed every ``OSError``, EIO
         included, so a roll on an fsyncing log could report success
         with the new segment's name not on disk.  Only ``EINVAL`` (a
         directory cannot be fsynced here) is tolerated."""
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir, segment_max_bytes=1, fsync=True)
+        log = open_log(log_dir, segment_max_bytes=1, fsync=True)
         log.append(deltas[0])
         real_fsync = os.fsync
 
@@ -456,9 +470,9 @@ class TestNamesAreTheMetadata:
 # ----------------------------------------------------------------------
 class TestSnapshotCatalog:
     def test_threshold_triggers_compaction_and_gc(self, producer_and_deltas,
-                                                  log_dir):
+                                                  log_dir, open_log):
         producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir, segment_max_bytes=256)
+        log = open_log(log_dir, segment_max_bytes=256)
         catalog = SnapshotCatalog(log, compact_bytes=1 << 20,
                                   retain_segments=0)
         log.extend(deltas)
@@ -478,9 +492,10 @@ class TestSnapshotCatalog:
         assert OntologyStore.bootstrap(snapshot, []).stats() == \
             producer.stats()
 
-    def test_retained_tail_survives_gc(self, producer_and_deltas, log_dir):
+    def test_retained_tail_survives_gc(self, producer_and_deltas, log_dir,
+                                       open_log):
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir, segment_max_bytes=256)
+        log = open_log(log_dir, segment_max_bytes=256)
         log.extend(deltas)
         sealed = len(log.segments()) - 1
         assert sealed >= 2  # the roll bound must give us a real tail
@@ -490,9 +505,9 @@ class TestSnapshotCatalog:
         assert len(log.segments()) == 2
 
     def test_snapshot_plus_tail_equals_full_replay(self, producer_and_deltas,
-                                                   log_dir):
+                                                   log_dir, open_log):
         producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir)
+        log = open_log(log_dir)
         log.extend(deltas[:2])
         catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
         catalog.record(OntologyStore.bootstrap(None, deltas[:2]))
@@ -503,9 +518,10 @@ class TestSnapshotCatalog:
         assert bootstrapped.stats() == producer.stats()
         assert bootstrapped.version == producer.version
 
-    def test_old_snapshots_pruned(self, producer_and_deltas, log_dir):
+    def test_old_snapshots_pruned(self, producer_and_deltas, log_dir,
+                                  open_log):
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir)
+        log = open_log(log_dir)
         catalog = SnapshotCatalog(log, compact_bytes=1, retain_snapshots=2)
         for upto in range(1, len(deltas) + 1):
             log.extend(deltas[:upto])
@@ -516,12 +532,13 @@ class TestSnapshotCatalog:
         assert catalog.latest_version == deltas[-1].version
 
     def test_snapshot_durable_before_segment_gc(self, producer_and_deltas,
-                                                log_dir, monkeypatch):
+                                                log_dir, open_log,
+                                                monkeypatch):
         """On an fsyncing log the new snapshot file is fsynced before any
         folded segment is unlinked: a power loss cannot keep the GC and
         lose the snapshot that made it safe."""
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir, segment_max_bytes=256, fsync=True)
+        log = open_log(log_dir, segment_max_bytes=256, fsync=True)
         log.extend(deltas)
         catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
         events = []
@@ -582,9 +599,10 @@ class TestSnapshotCatalog:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
         assert json.loads(target.read_text()) == {"v": 1}
 
-    def test_stale_record_rejected(self, producer_and_deltas, log_dir):
+    def test_stale_record_rejected(self, producer_and_deltas, log_dir,
+                                   open_log):
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir)
+        log = open_log(log_dir)
         log.extend(deltas)
         catalog = SnapshotCatalog(log, compact_bytes=1)
         catalog.record(OntologyStore.bootstrap(None, deltas))
@@ -632,9 +650,9 @@ def _replayed(kind: str, deltas) -> bytes:
 def over_replica_kinds(case):
     """Run one follower case per replica kind, each on its own log
     directory — the kind is one more input to the same test."""
-    def test(self, producer_and_deltas, log_dir):
+    def test(self, producer_and_deltas, log_dir, open_log):
         for kind in REPLICA_KINDS:
-            case(self, producer_and_deltas, log_dir / kind, kind)
+            case(self, producer_and_deltas, log_dir / kind, open_log, kind)
     test.__name__, test.__doc__ = case.__name__, case.__doc__
     return test
 
@@ -642,9 +660,9 @@ def over_replica_kinds(case):
 class TestPublisherFollower:
     @over_replica_kinds
     def test_local_follower_snapshot_plus_tail(self, producer_and_deltas,
-                                               log_dir, kind):
+                                               log_dir, open_log, kind):
         producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir)
+        log = open_log(log_dir)
         log.extend(deltas[:2])
         catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
         catalog.record(OntologyStore.bootstrap(None, deltas[:2]))
@@ -660,9 +678,9 @@ class TestPublisherFollower:
     @over_replica_kinds
     def test_socket_follower_bootstrap_poll_and_wait(self,
                                                      producer_and_deltas,
-                                                     log_dir, kind):
+                                                     log_dir, open_log, kind):
         producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir)
+        log = open_log(log_dir)
         log.extend(deltas[:2])
         catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
         catalog.record(OntologyStore.bootstrap(None, deltas[:2]))
@@ -684,12 +702,12 @@ class TestPublisherFollower:
 
     @over_replica_kinds
     def test_follower_recovers_from_gc_gap(self, producer_and_deltas,
-                                           log_dir, kind):
+                                           log_dir, open_log, kind):
         """A follower that fell behind the GC'd prefix hits
         DeltaGapError on fetch and recovers by re-bootstrapping from the
         newest snapshot."""
         producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir, segment_max_bytes=128)
+        log = open_log(log_dir, segment_max_bytes=128)
         log.append(deltas[0])
         catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
         with PublisherThread(log, catalog) as publisher:
@@ -710,9 +728,10 @@ class TestPublisherFollower:
                 assert _state(follower.replica) == _replayed(kind, deltas)
                 assert follower.version == producer.version
 
-    def test_fetch_behind_gc_raises_gap(self, producer_and_deltas, log_dir):
+    def test_fetch_behind_gc_raises_gap(self, producer_and_deltas, log_dir,
+                                        open_log):
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir, segment_max_bytes=128)
+        log = open_log(log_dir, segment_max_bytes=128)
         log.extend(deltas)
         catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
         catalog.record(OntologyStore.bootstrap(None, deltas))
@@ -722,9 +741,10 @@ class TestPublisherFollower:
                 with pytest.raises(DeltaGapError):
                     client.fetch(0)
 
-    def test_wait_times_out_empty(self, producer_and_deltas, log_dir):
+    def test_wait_times_out_empty(self, producer_and_deltas, log_dir,
+                                  open_log):
         _producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir)
+        log = open_log(log_dir)
         log.extend(deltas)
         with PublisherThread(log) as publisher:
             host, port = publisher.address
@@ -734,7 +754,7 @@ class TestPublisherFollower:
     @over_replica_kinds
     def test_registered_follower_delays_segment_gc(self,
                                                    producer_and_deltas,
-                                                   log_dir, kind):
+                                                   log_dir, open_log, kind):
         """Satellite regression (ROADMAP "publisher-side follower
         offsets"): a *registered* follower's position is a GC floor —
         compaction keeps the segments it still needs, so it catches up
@@ -742,7 +762,7 @@ class TestPublisherFollower:
         advanced, re-recording the (idempotent) snapshot releases the
         delayed GC."""
         producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir, segment_max_bytes=128)
+        log = open_log(log_dir, segment_max_bytes=128)
         log.append(deltas[0])
         catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
         with PublisherThread(log, catalog) as publisher:
@@ -778,11 +798,11 @@ class TestPublisherFollower:
     @over_replica_kinds
     def test_unregistered_follower_still_rebootstraps(self,
                                                       producer_and_deltas,
-                                                      log_dir, kind):
+                                                      log_dir, open_log, kind):
         """Without a follower_id nothing delays GC — the pre-offsets
         behavior (snapshot re-bootstrap on gap) still stands."""
         producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir, segment_max_bytes=128)
+        log = open_log(log_dir, segment_max_bytes=128)
         log.append(deltas[0])
         catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
         with PublisherThread(log, catalog) as publisher:
@@ -800,7 +820,7 @@ class TestPublisherFollower:
 
     def test_follower_lag_gauges_reflect_induced_lag(self,
                                                      producer_and_deltas,
-                                                     log_dir):
+                                                     log_dir, open_log):
         """Observability satellite: the publisher's per-follower lag
         gauges — versions behind the head and the age (on the registry's
         injectable clock) of the oldest unconsumed publish — track
@@ -817,7 +837,7 @@ class TestPublisherFollower:
         producer, deltas = producer_and_deltas
         clock = _Clock()
         registry = MetricsRegistry(clock=clock)
-        log = DeltaLog(log_dir)
+        log = open_log(log_dir)
         log.append(deltas[0])
         head = log.last_version
         with PublisherThread(log, registry=registry) as publisher:
@@ -874,14 +894,14 @@ class TestPublisherFollower:
 # ----------------------------------------------------------------------
 class TestRemoteShardCluster:
     def test_remote_cluster_byte_identical_to_single_and_inprocess(
-            self, producer_and_deltas, ner, log_dir):
+            self, producer_and_deltas, ner, log_dir, open_log):
         """Acceptance gate: rpc.dumps of every serving endpoint response
         is identical across (a) a single store, (b) the in-process
         ClusterService, and (c) a remote-shard cluster whose follower
         workers bootstrapped from SnapshotCatalog snapshot + DeltaLog
         tail — including after a published refresh."""
         producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir, segment_max_bytes=512)
+        log = open_log(log_dir, segment_max_bytes=512)
         log.extend(deltas[:2])
         catalog = SnapshotCatalog(log, compact_bytes=1, retain_segments=0)
         catalog.record(OntologyStore.bootstrap(None, deltas[:2]))
@@ -937,9 +957,9 @@ class TestRemoteShardCluster:
                 assert all(not line["recovered"] for line in syncs)
 
     def test_remote_refresh_requires_published_deltas(
-            self, producer_and_deltas, ner, log_dir):
+            self, producer_and_deltas, ner, log_dir, open_log):
         producer, deltas = producer_and_deltas
-        log = DeltaLog(log_dir)
+        log = open_log(log_dir)
         log.extend(deltas)
         with PublisherThread(log) as publisher:
             with RemoteClusterService(publisher.address, num_shards=2,
